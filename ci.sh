@@ -146,12 +146,16 @@ echo "== bench gate (tol ${BENCH_TOL:-0.05}) =="
 cargo run -q --offline --release -p bench-harness --bin bench_gate -- \
   --check BENCH_PR10.json --tol "${BENCH_TOL:-0.05}"
 
-# Recovery smoke: the checkpoint-free restart drill (apps::recover via
+# Recovery smoke: the two drivers of the one rebuild loop
+# (Session::rebuild). The checkpoint-free restart drill (apps::recover via
 # fig_recover) must survive two injected kills — every survivor finishes
 # all steps at the shrunk width, the victims exit Removed, and the
-# settle-latency rows land in target/figures/fig_recover.json.
-echo "== recovery smoke (fig_recover: 2 kills, checkpoint-free restart) =="
+# settle-latency rows land in target/figures/fig_recover.json; the churn
+# drill (fig_elastic: grow, kill, retire, delete) must rebuild exactly
+# once per member per epoch.
+echo "== recovery smoke (fig_recover: 2 kills; fig_elastic: pset churn) =="
 cargo run -q --offline --release -p bench-harness --bin fig_recover -- >/dev/null
+cargo run -q --offline --release -p bench-harness --bin fig_elastic -- >/dev/null
 
 # Doc-drift gate: docs/TUNING.md is generated from the live cvar registry
 # (cvar_dump --markdown). Regenerate into a temp file and diff — a knob

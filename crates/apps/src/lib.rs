@@ -19,8 +19,11 @@
 //!   library (L1) whose quiescence runs through QUO (§IV-E);
 //! * [`recover`] — the checkpoint-free fault-recovery loop (DESIGN.md
 //!   §15): a ring allreduce with bounded typed waits that repairs its
-//!   communicator through injected kills via the survivors pset.
+//!   communicator through injected kills via the survivors pset;
+//! * [`elastic`] — the churn-driven twin: follow a pset through grow,
+//!   kill, retire and delete, one rebuilt communicator per epoch.
 
+pub mod elastic;
 pub mod hpcc;
 pub mod mesh2;
 pub mod osu;

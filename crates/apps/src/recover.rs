@@ -4,18 +4,19 @@
 //! The loop each rank runs is the user-facing composition of the whole
 //! fault layer: `Session::track_faults` publishes the survivors pset,
 //! `Session::watch_faults` delivers each death exactly once (replayed to
-//! late subscribers), and `Comm::repair_via_pset` rebuilds the compute
-//! communicator at a pinned registry epoch with typed verdicts the loop
-//! branches on — no string matching, no checkpoint files.
+//! late subscribers), and `Session::rebuild` re-derives the compute
+//! communicator from the survivors pset at a pinned registry epoch —
+//! retrying its typed verdicts internally and answering
+//! [`Rebuild::Removed`] once this rank has been evicted. No string
+//! matching, no checkpoint files.
 //!
 //! The collective itself is a ring allreduce built on `irecv` +
 //! [`mpi_sessions::Request::wait_data_timeout`], so **every blocking
 //! point has a bounded, typed exit**: a dead neighbor surfaces as
-//! `ProcTerminated` (fast — the wait's dead-peer check fires well before
-//! the budget), a neighbor stalled behind a dead rank surfaces as
-//! `Timeout`. Either verdict routes the rank into the repair loop; a
-//! rank that finds itself evicted from the survivors pset exits as
-//! [`RankOutcome::Removed`].
+//! `ProcFailed` (fast — the wait's dead-peer check fires well before the
+//! budget), a neighbor stalled behind a dead rank surfaces as `Timeout`.
+//! Either verdict routes the rank into the rebuild loop; a rank evicted
+//! from the survivors pset exits as [`RankOutcome::Removed`].
 //!
 //! Because ranks observe a fault at different points in the step
 //! schedule (one fails mid-ring, its neighbor only next step), the loop
@@ -24,12 +25,12 @@
 //! globally consistent step and recompute anything past it — that
 //! recomputation *is* the checkpoint-free restart.
 
-use mpi_sessions::instance::MpiProcess;
 use mpi_sessions::session::PSET_WORLD;
-use mpi_sessions::{Comm, ErrClass, ErrHandler, Info, Session, ThreadLevel};
+use mpi_sessions::{Comm, ErrClass, ErrHandler, Info, Rebuild, Session, ThreadLevel};
 use prrte::ProcCtx;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Knobs of the recovery workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,8 +39,8 @@ pub struct RecoverConfig {
     pub steps: u32,
     /// Per-wait budget inside one ring step (typed `Timeout` after this).
     pub step_wait: Duration,
-    /// Total budget for one repair episode (epoch polling + rebuild
-    /// retries); exceeding it panics — the drill is wedged.
+    /// Total budget for one repair episode (waiting for the pset prune +
+    /// rebuild retries); exceeding it panics — the drill is wedged.
     pub repair_budget: Duration,
 }
 
@@ -61,8 +62,6 @@ pub struct RecoverReport {
     pub steps_done: u32,
     /// Successful communicator repairs (fault episodes survived).
     pub repairs: u32,
-    /// `Stale` verdicts retried (the registry epoch moved mid-repair).
-    pub stale_retries: u32,
     /// Ring timeouts / dead-peer verdicts that triggered a repair pass.
     pub step_faults: u32,
     /// Communicator size when the final step ran.
@@ -139,58 +138,37 @@ fn step_tag(step: u32) -> i32 {
 /// Tag block for the post-repair step-agreement ring.
 const AGREE_TAG: i32 = 0x4000;
 
-/// Repair `comm` against the survivors pset, following the typed
-/// protocol documented on [`Comm::repair_via_pset`]. Returns the
-/// replacement, or `None` when this rank has been evicted.
-fn repair(
-    session: &Session,
-    process: &MpiProcess,
-    pset: &str,
-    comm: &Comm,
-    budget: Duration,
-    report: &mut RecoverReport,
-) -> Option<Comm> {
-    let registry = process.universe().registry();
-    let me = process.proc().clone();
-    let deadline = Instant::now() + budget;
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "repair exceeded its {budget:?} budget — the recovery drill is wedged"
-        );
-        let (epoch, members) = registry
-            .pset_members_versioned(pset)
-            .expect("survivors pset exists while the session is live");
-        if !members.contains(&me) {
-            return None;
+/// Driver-side kill pacing on reported step numbers. A rank's `on_step`
+/// callback calls [`KillPacer::hold`], which parks it at the `i`-th kill
+/// step until the driver has reported `i + 1` kills through
+/// [`KillPacer::killed`]: no rank can run past a kill step before that
+/// kill has landed.
+#[derive(Clone)]
+pub struct KillPacer {
+    steps: Vec<u32>,
+    killed: Arc<(Mutex<usize>, Condvar)>,
+}
+
+impl KillPacer {
+    /// Pace one kill at each of `steps`, in order.
+    pub fn new(steps: Vec<u32>) -> Self {
+        KillPacer { steps, killed: Arc::default() }
+    }
+
+    /// Park until the kill paced at `step` (if any) has been issued.
+    pub fn hold(&self, step: u32) {
+        if let Some(i) = self.steps.iter().position(|&s| s == step) {
+            let (count, cv) = &*self.killed;
+            let guard = count.lock().expect("pacer lock");
+            drop(cv.wait_while(guard, |n| *n <= i).expect("pacer lock"));
         }
-        // Let the failure bridge finish pruning before pinning the epoch:
-        // repairing against a membership that still names a corpse is a
-        // guaranteed `ProcTerminated` round-trip.
-        if members.iter().any(|p| process.universe().proc_is_dead(p)) {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        match comm.repair_via_pset(session, pset, epoch) {
-            Ok(next) => {
-                report.repairs += 1;
-                return Some(next);
-            }
-            Err(e) => match e.class {
-                // The registry moved past our epoch (another fault or
-                // churn landed): observe the newer epoch and retry.
-                ErrClass::Stale => report.stale_retries += 1,
-                // A fault raced the pset shrink: wait for the prune.
-                ErrClass::ProcTerminated => std::thread::sleep(Duration::from_millis(2)),
-                // The rebuild fan-in timed out (epoch disagreement or a
-                // partition): retry within the budget.
-                ErrClass::Timeout => {}
-                // We were evicted between the membership read and the
-                // rebuild.
-                ErrClass::Group => return None,
-                _ => panic!("unrecoverable repair error: {e}"),
-            },
-        }
+    }
+
+    /// Report that the next paced kill has been issued.
+    pub fn killed(&self) {
+        let (count, cv) = &*self.killed;
+        *count.lock().expect("pacer lock") += 1;
+        cv.notify_all();
     }
 }
 
@@ -213,7 +191,6 @@ pub fn run_rank_with_progress(
             .expect("session init");
     let pset = session.track_faults().expect("track_faults");
     let mut faults = session.watch_faults().expect("watch_faults");
-    let process = MpiProcess::obtain(ctx);
 
     let world = session.group_from_pset(PSET_WORLD).expect("world group");
     let mut comm = Comm::create_from_group(&world, "recover").expect("initial comm");
@@ -221,7 +198,6 @@ pub fn run_rank_with_progress(
     let mut report = RecoverReport {
         steps_done: 0,
         repairs: 0,
-        stale_retries: 0,
         step_faults: 0,
         final_size: 0,
         sums: Vec::new(),
@@ -229,18 +205,20 @@ pub fn run_rank_with_progress(
     let mut step = 0u32;
     let mut dirty = false;
     while step < cfg.steps {
-        // Exactly-once fault intake: any death observed since the last
-        // check forces a repair pass before the next collective.
-        while faults.try_next().is_some() {
-            dirty = true;
+        // Exactly-once fault intake: the death of a current member forces
+        // a repair pass before the next collective.
+        while let Some(dead) = faults.try_next() {
+            dirty |= comm.group().rank_of(&dead).is_some();
         }
         if dirty {
-            let next = match repair(&session, &process, &pset, &comm, cfg.repair_budget, &mut report)
-            {
-                Some(c) => c,
-                None => return RankOutcome::Removed { steps_done: step },
+            comm = match session.rebuild(&pset, Some(comm), None, cfg.repair_budget) {
+                Ok(Rebuild::Rebuilt { comm, .. }) => comm,
+                Ok(Rebuild::Removed { .. } | Rebuild::Deleted { .. }) => {
+                    return RankOutcome::Removed { steps_done: step }
+                }
+                Err(e) => panic!("unrecoverable repair error: {e}"),
             };
-            std::mem::replace(&mut comm, next).abandon();
+            report.repairs += 1;
             // Survivors reached this repair from different points in the
             // step schedule (one failed mid-ring, its neighbor only on
             // the following step): agree on MIN(next step) and recompute
@@ -253,11 +231,7 @@ pub fn run_rank_with_progress(
                 }
                 // A second fault landed during the agreement itself:
                 // stay dirty and re-enter the repair loop.
-                Err(e)
-                    if matches!(
-                        e.class,
-                        ErrClass::ProcFailed | ErrClass::ProcTerminated | ErrClass::Timeout
-                    ) => {}
+                Err(e) if matches!(e.class, ErrClass::ProcFailed | ErrClass::Timeout) => {}
                 Err(e) => panic!("unrecoverable agreement error: {e}"),
             }
             continue;
@@ -270,12 +244,7 @@ pub fn run_rank_with_progress(
                 report.steps_done = step;
                 on_step(step);
             }
-            Err(e)
-                if matches!(
-                    e.class,
-                    ErrClass::ProcFailed | ErrClass::ProcTerminated | ErrClass::Timeout
-                ) =>
-            {
+            Err(e) if matches!(e.class, ErrClass::ProcFailed | ErrClass::Timeout) => {
                 report.step_faults += 1;
                 dirty = true;
             }
@@ -328,29 +297,34 @@ mod tests {
             repair_budget: Duration::from_secs(30),
         };
         let (ack_tx, ack_rx) = mpsc::channel::<(u32, u32)>();
+        // Every rank parks after step 2 until rank 3 is dead, so the
+        // survivors always run steps 3.. at the shrunk width.
+        let pacer = KillPacer::new(vec![2]);
         let run = {
             let cfg = cfg.clone();
+            let pacer = pacer.clone();
             move |ctx: ProcCtx| {
                 let tx = ack_tx.clone();
                 let rank = ctx.rank();
                 run_rank_with_progress(&ctx, &cfg, |step| {
                     let _ = tx.send((rank, step));
+                    pacer.hold(step);
                 })
             }
         };
         let handle = launcher.spawn(JobSpec::new(4), run);
         let victim = pmix::ProcId::new(handle.nspace(), 3);
-        // Wait until every rank has completed step 1, then kill rank 3.
-        let mut done_step1 = std::collections::HashSet::new();
-        while done_step1.len() < 4 {
+        let mut at_kill_step = std::collections::HashSet::new();
+        while at_kill_step.len() < 4 {
             let (rank, step) = ack_rx
                 .recv_timeout(Duration::from_secs(30))
                 .expect("ranks make progress");
-            if step >= 1 {
-                done_step1.insert(rank);
+            if step >= 2 {
+                at_kill_step.insert(rank);
             }
         }
         universe.kill_proc(&victim).expect("kill");
+        pacer.killed();
         let out = handle.join().unwrap();
         for (rank, outcome) in out.iter().enumerate() {
             if rank == 3 {

@@ -246,57 +246,10 @@ fn run_pml_cache() -> Value {
 /// (each mutation waits for all acks of the previous epoch), so span and
 /// counter totals are deterministic.
 fn run_elastic() -> Value {
-    use mpi_sessions::{ElasticComm, Rebuild};
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    const PSET: &str = "app://gate-elastic";
-    const STEP: Duration = Duration::from_secs(30);
     let launcher = Launcher::new(SimTestbed::tiny(2, 4));
-    let (tx, rx) = mpsc::channel::<(u32, u64, u32)>();
-    let spec = JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]);
-    let handle = launcher.spawn_named("gate-elastic", spec, move |ctx| {
-        let session = mpi_sessions::Session::init(
-            &ctx,
-            mpi_sessions::ThreadLevel::Single,
-            mpi_sessions::ErrHandler::Return,
-            &mpi_sessions::Info::null(),
-        )
-        .expect("session init");
-        let mut ec = ElasticComm::establish(&session, PSET, STEP).expect("establish");
-        loop {
-            let comm = ec.comm().expect("member has a communicator");
-            let sum = mpi_sessions::coll::allreduce_t(
-                comm,
-                mpi_sessions::ReduceOp::Sum,
-                &[1u32],
-            )
-            .expect("allreduce")[0];
-            tx.send((ctx.rank(), ec.epoch(), sum)).expect("ack");
-            match ec.next_rebuild(STEP) {
-                Ok(Rebuild::Rebuilt { .. }) => continue,
-                Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
-                Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-            }
-        }
-        session.finalize().expect("finalize");
-    });
-    let ctl = handle.ctl();
-    let settle = |n: u32, epoch: u64| {
-        for _ in 0..n {
-            let (rank, e, s) = rx.recv_timeout(STEP).expect("ack before timeout");
-            assert_eq!((e, s), (epoch, n), "rank {rank} settled on the wrong epoch");
-        }
-    };
-    settle(4, 1);
-    ctl.spawn_ranks(4, Some(PSET));
-    settle(8, 2);
-    handle.kill_rank(7);
-    settle(7, 3);
-    ctl.retire_ranks(&[6], Some(PSET)).expect("retire");
-    settle(6, 4);
-    launcher.universe().registry().undefine_pset(PSET);
-    handle.join().expect("elastic workload");
+    let kill = |p: &pmix::ProcId| launcher.universe().kill_proc(p).expect("kill");
+    let step = std::time::Duration::from_secs(30);
+    apps::elastic::churn_drill(&launcher, "gate-elastic", "app://gate-elastic", step, kill);
     // Whether a given data-plane send goes out eager or carries the
     // extended header races against handshake completion across rebuild
     // epochs: the split varies run to run while the total is fixed by the
@@ -393,7 +346,7 @@ fn run_recover() -> Value {
             .registry()
             .clone();
         // Wait for the bridge to prune the corpse, then repair one-shot at
-        // the settled epoch: no Stale/ProcTerminated/Timeout retries, so
+        // the settled epoch: no Stale/ProcFailed/Timeout retries, so
         // the message counts stay protocol-fixed.
         let epoch = loop {
             let (epoch, members) =

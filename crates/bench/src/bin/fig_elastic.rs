@@ -14,69 +14,18 @@
 //! session.rebuild` chains carry the rebuild critical path.)
 
 use bench_harness::dump_json;
-use mpi_sessions::{coll, ElasticComm, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel};
-use prrte::{JobSpec, Launcher};
-use serde::Serialize;
+use prrte::Launcher;
 use simnet::SimTestbed;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-const PSET: &str = "app://elastic";
-const STEP: Duration = Duration::from_secs(30);
-
-#[derive(Serialize)]
-struct Row {
-    phase: &'static str,
-    epoch: u64,
-    members: u32,
-    rebuild_us: f64,
-}
+use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let launcher = Launcher::new(SimTestbed::tiny(2, 4));
-    let (tx, rx) = mpsc::channel::<(u32, u64, u32)>();
-    let spec = JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]);
-    let handle = launcher.spawn_named("elastic", spec, move |ctx| {
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
-                .expect("session init");
-        let mut ec = ElasticComm::establish(&session, PSET, STEP).expect("establish");
-        loop {
-            // One allreduce per epoch: the ack proves this rank is on the
-            // rebuilt communicator with the full epoch membership.
-            let comm = ec.comm().expect("member has a communicator");
-            let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).expect("allreduce")[0];
-            tx.send((ctx.rank(), ec.epoch(), sum)).expect("ack");
-            match ec.next_rebuild(STEP) {
-                Ok(Rebuild::Rebuilt { .. }) => continue,
-                Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
-                Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-            }
-        }
-        session.finalize().expect("finalize");
-    });
-    let ctl = handle.ctl();
-
-    let settle = |n: u32, epoch: u64| {
-        let t0 = Instant::now();
-        for _ in 0..n {
-            let (rank, e, s) = rx.recv_timeout(STEP).expect("ack before timeout");
-            assert_eq!((e, s), (epoch, n), "rank {rank} settled on the wrong epoch");
-        }
-        t0.elapsed().as_secs_f64() * 1e6
-    };
-
-    let mut rows = Vec::new();
-    rows.push(Row { phase: "establish", epoch: 1, members: 4, rebuild_us: settle(4, 1) });
-    ctl.spawn_ranks(4, Some(PSET));
-    rows.push(Row { phase: "grow_4to8", epoch: 2, members: 8, rebuild_us: settle(8, 2) });
-    handle.kill_rank(7);
-    rows.push(Row { phase: "kill_rank7", epoch: 3, members: 7, rebuild_us: settle(7, 3) });
-    ctl.retire_ranks(&[6], Some(PSET)).expect("retire");
-    rows.push(Row { phase: "retire_rank6", epoch: 4, members: 6, rebuild_us: settle(6, 4) });
-    launcher.universe().registry().undefine_pset(PSET);
-    handle.join().expect("elastic job");
+    // Every rank follows the pset with one allreduce per epoch: its ack
+    // proves it is on the rebuilt communicator with the full membership.
+    let kill = |p: &pmix::ProcId| launcher.universe().kill_proc(p).expect("kill");
+    let step = Duration::from_secs(30);
+    let rows = apps::elastic::churn_drill(&launcher, "elastic", "app://elastic", step, kill);
 
     println!("# Elastic sessions: time for every member to rejoin the rebuilt comm");
     println!("{:>14} {:>6} {:>8} {:>14}", "phase", "epoch", "members", "rebuild (us)");
@@ -94,11 +43,6 @@ fn main() {
     );
     assert_eq!(rebuilds, 4 + 8 + 7 + 6, "one rebuild per member per epoch");
     assert!(invalidated > 0, "departed peers must be evicted from the PML cache");
-    // The killed and retired ranks must not ack the final epoch.
-    assert!(
-        rx.recv_timeout(Duration::from_millis(50)).is_err(),
-        "no stragglers past the final epoch"
-    );
 
     let mut sink = bench_harness::MetricsSink::from_args(&args);
     sink.record("elastic_churn", registry.export());

@@ -1010,7 +1010,7 @@ impl Comm {
     /// handshake cache on the way out, so a later incarnation on the same
     /// endpoint is never trusted with a stale `CidAdvert`.
     ///
-    /// Fails typed [`ErrClass::ProcTerminated`] when the *caller* is
+    /// Fails typed [`ErrClass::ProcFailed`] when the *caller* is
     /// itself marked dead (it cannot be part of any survivor collective).
     pub fn shrink(&self, tag: &str) -> Result<Comm> {
         self.check_live()?;
@@ -1025,7 +1025,7 @@ impl Comm {
         }
         if !survivors.iter().any(|m| &m.proc == self.process.proc()) {
             return Err(MpiError::new(
-                ErrClass::ProcTerminated,
+                ErrClass::ProcFailed,
                 "calling process is marked dead; it cannot join the shrunk communicator",
             ));
         }
@@ -1035,20 +1035,21 @@ impl Comm {
         Comm::create_from_group(&group, &format!("shrink:{tag}"))
     }
 
-    /// Repair by re-deriving from a pset at a pinned epoch (the recovery
-    /// loop's step once a fault has settled into the registry): resolves
-    /// `pset` only if the registry is still exactly at `epoch`, sanity
-    /// checks the snapshot, and rebuilds via `MPI_Comm_create_from_group`
-    /// tagged `repair:{pset}@{epoch}` — collective over the members of
-    /// that epoch.
+    /// Repair by re-deriving from a pset at a pinned epoch (one step of a
+    /// recovery loop once a fault has settled into the registry; the
+    /// whole loop is [`crate::Session::rebuild`]): resolves `pset` only if
+    /// the registry is still exactly at `epoch`, sanity checks the
+    /// snapshot, and rebuilds via `MPI_Comm_create_from_group` tagged
+    /// `repair:{pset}@{epoch}` — collective over the members of that
+    /// epoch.
     ///
     /// Errors are typed so a recovery loop can branch without string
     /// matching:
     /// * [`ErrClass::Stale`] — the registry moved past `epoch` (another
     ///   fault or churn landed): observe the newer epoch and retry;
-    /// * [`ErrClass::ProcTerminated`] — the pinned membership already
-    ///   contains a member the fabric marked dead (a fault raced the pset
-    ///   shrink): wait for the shrink event and retry;
+    /// * [`ErrClass::ProcFailed`] — the pinned membership contains a
+    ///   member the fabric marked dead (a fault raced the pset shrink), or
+    ///   one died during the fan-in: wait for the shrink event and retry;
     /// * [`ErrClass::Group`] — the caller is not in the membership (it
     ///   was itself removed): stop repairing;
     /// * [`ErrClass::Timeout`] — the rebuild collective itself timed out
@@ -1060,18 +1061,29 @@ impl Comm {
         epoch: u64,
     ) -> Result<Comm> {
         self.check_live()?;
+        Comm::from_pset_at(session, pset, epoch)
+    }
+
+    /// The epoch-pinned construct behind [`Comm::repair_via_pset`] and
+    /// [`crate::Session::rebuild`], with the verdicts documented there.
+    pub(crate) fn from_pset_at(
+        session: &crate::session::Session,
+        pset: &str,
+        epoch: u64,
+    ) -> Result<Comm> {
         let group = session.group_from_pset_at(pset, epoch)?;
-        if group.rank_of(self.process.proc()).is_none() {
+        let process = session.process();
+        if group.rank_of(process.proc()).is_none() {
             return Err(MpiError::new(
                 ErrClass::Group,
                 format!("caller is not a member of pset '{pset}' at epoch {epoch}"),
             ));
         }
-        let fabric = self.process.universe().fabric();
+        let fabric = process.universe().fabric();
         for m in group.iter() {
             if !fabric.is_alive(m.endpoint) {
                 return Err(MpiError::new(
-                    ErrClass::ProcTerminated,
+                    ErrClass::ProcFailed,
                     format!(
                         "repair pset '{pset}'@{epoch} still includes dead member {}",
                         m.proc
@@ -1088,19 +1100,11 @@ impl Comm {
     /// Reclaims the local CID and PML route and leaves the PMIx group
     /// behind for the server's GC. Recovery loops call this on the broken
     /// communicator once [`Comm::shrink`] / [`Comm::repair_via_pset`] has
-    /// handed them a replacement; it is also the right teardown when
-    /// different ranks may have observed faults asymmetrically (one rank
-    /// freeing while another abandons would strand the collective).
+    /// handed them a replacement ([`crate::Session::rebuild`] does it
+    /// itself); it is also the right teardown when different ranks may
+    /// have observed faults asymmetrically (one rank freeing while another
+    /// abandons would strand the collective).
     pub fn abandon(self) {
-        self.abandon_local();
-    }
-
-    /// Locally retire this communicator without the collective free: the
-    /// elastic rebuild path replaces a communicator whose membership has
-    /// already diverged, so a collective `group_destruct` could never
-    /// complete. The PMIx group is deliberately left behind; only the
-    /// local CID and PML route are reclaimed.
-    pub(crate) fn abandon_local(&self) {
         if self.inner.freed.swap(true, Ordering::AcqRel) {
             return;
         }

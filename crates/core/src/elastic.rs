@@ -1,5 +1,5 @@
-//! Elastic sessions: pset churn, versioned groups, and fault-aware
-//! communicator rebuild.
+//! Elastic sessions: pset churn, versioned groups, and the one
+//! fault-aware communicator rebuild loop.
 //!
 //! The runtime's pset registry is **versioned**: every definition,
 //! membership change, and deletion bumps a global epoch and is broadcast
@@ -11,19 +11,15 @@
 //! * [`Session::group_from_pset_at`] — resolve a pset *at a pinned epoch*,
 //!   failing with a typed [`ErrClass::Stale`] error when the registry has
 //!   moved on (torn-read detection);
-//! * [`ElasticComm`] — the rebuild loop: on every membership change (a
-//!   grow, a graceful retirement, or a failure-driven shrink) derive a
-//!   fresh group from the surviving membership, build a replacement
-//!   communicator with `MPI_Comm_create_from_group`, and explicitly
-//!   invalidate the PML handshake cache for departed peers so a later
-//!   incarnation on the same endpoint is never trusted with a stale
-//!   `CidAdvert`.
+//! * [`Session::rebuild`] — the rebuild loop shared by elastic churn
+//!   (grow, graceful retire, pset deletion) and fault recovery (the
+//!   failure bridge shrinking a pset around a corpse): retire the old
+//!   communicator, then re-derive a replacement from the pset at a pinned
+//!   epoch with [`Comm::repair_via_pset`]'s construct, retrying its typed
+//!   verdicts until the membership settles.
 //!
-//! The protocol assumption is the one the driver examples/benches uphold:
-//! churn is sequenced, i.e. the controller waits until every member of
-//! epoch `E` has rebuilt before initiating epoch `E+1`. Within that
-//! regime every member observes the same ordered stream of epochs, so the
-//! `rebuild:{pset}@{epoch}` string tags line up and each
+//! Every member of an epoch observes the same ordered stream of epochs,
+//! so the `repair:{pset}@{epoch}` string tags line up and each
 //! `create_from_group` is a well-formed collective over exactly the
 //! members of that epoch.
 
@@ -33,7 +29,7 @@ use crate::group::{MpiGroup, ProcRef};
 use crate::session::Session;
 use pmix::value::keys;
 use pmix::{Event, EventCode, ProcId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One decoded pset change, as observed through a [`PsetWatcher`].
 #[derive(Debug, Clone)]
@@ -101,9 +97,9 @@ impl PsetWatcher {
 
     /// Wait up to `timeout` for the next pset change.
     pub fn next_timeout(&self, timeout: Duration) -> Option<PsetUpdate> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             let ev = self.stream.next_timeout(left)?;
             if let Some(u) = decode(ev) {
                 return Some(u);
@@ -111,9 +107,18 @@ impl PsetWatcher {
         }
     }
 
-    /// Number of queued (undecoded) events.
-    pub fn pending(&self) -> usize {
-        self.stream.pending()
+    /// Wait up to `timeout` for the next change to `pset` past epoch
+    /// `after`, dropping changes to other psets and any queued change at
+    /// or below `after` (a rebuild already covered those epochs).
+    pub fn next_for(&self, pset: &str, after: u64, timeout: Duration) -> Option<PsetUpdate> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let u = self.next_timeout(left)?;
+            if u.pset == pset && u.epoch > after {
+                return Some(u);
+            }
+        }
     }
 }
 
@@ -155,19 +160,20 @@ impl Session {
     }
 }
 
-/// What [`ElasticComm::next_rebuild`] did with the change it observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What [`Session::rebuild`] settled on.
+#[derive(Debug)]
 pub enum Rebuild {
-    /// A replacement communicator was built at this epoch; the previous
-    /// one was locally retired.
+    /// The caller is a member at `epoch`: a replacement communicator over
+    /// exactly that epoch's membership.
     Rebuilt {
-        /// The epoch the new communicator corresponds to.
+        /// The rebuilt communicator.
+        comm: Comm,
+        /// The epoch it was built at.
         epoch: u64,
     },
-    /// The calling process is no longer a member of the pset: the old
-    /// communicator was locally retired and no new one exists.
-    Retired {
-        /// The epoch at which this process left the membership.
+    /// The caller is no longer a member of the pset (killed or retired).
+    Removed {
+        /// The first epoch without the caller.
         epoch: u64,
     },
     /// The pset itself was deleted.
@@ -177,252 +183,151 @@ pub enum Rebuild {
     },
 }
 
-/// A communicator that tracks one pset across churn.
-///
-/// [`ElasticComm::establish`] subscribes to pset events and builds the
-/// initial communicator from the first observed membership containing the
-/// caller; [`ElasticComm::next_rebuild`] consumes one change at a time,
-/// replacing the communicator (grow/shrink) or retiring it (the caller
-/// departed, or the pset was deleted).
-pub struct ElasticComm {
-    session: Session,
-    pset: String,
-    watcher: PsetWatcher,
-    comm: Option<Comm>,
-    epoch: u64,
-    members: Vec<ProcId>,
-}
-
-impl ElasticComm {
-    /// Subscribe and build the initial communicator; waits up to `timeout`
-    /// for an event naming `pset` with the caller in its membership.
-    pub fn establish(session: &Session, pset: &str, timeout: Duration) -> Result<ElasticComm> {
-        let watcher = session.watch_psets()?;
-        let mut ec = ElasticComm {
-            session: session.clone(),
-            pset: pset.to_owned(),
-            watcher,
-            comm: None,
-            epoch: 0,
-            members: Vec::new(),
-        };
-        match ec.next_rebuild(timeout)? {
-            Rebuild::Rebuilt { .. } => Ok(ec),
-            Rebuild::Retired { epoch } | Rebuild::Deleted { epoch } => Err(MpiError::new(
-                ErrClass::Group,
-                format!("caller is not a member of pset '{pset}' at epoch {epoch}"),
-            )),
-        }
-    }
-
-    /// The pset this communicator tracks.
-    pub fn pset(&self) -> &str {
-        &self.pset
-    }
-
-    /// The epoch the current communicator was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The current communicator, if the caller is still a member.
-    pub fn comm(&self) -> Option<&Comm> {
-        self.comm.as_ref()
-    }
-
-    /// Wait up to `timeout` for the next change to this pset and apply it.
+impl Session {
+    /// The fault-rebuild loop: re-derive this process's communicator over
+    /// `pset` from `trigger` — an update from the caller's own
+    /// [`PsetWatcher`] — or, for `None`, from the pset's current registry
+    /// state (a recovery loop that learned of a fault some other way).
     ///
-    /// On a membership change containing the caller: locally retire the
-    /// old communicator (counting any unexpected messages still queued on
-    /// it — traffic addressed to the stale epoch), invalidate the PML
-    /// handshake cache for every departed peer, and build the replacement
-    /// via `MPI_Comm_create_from_group` tagged `rebuild:{pset}@{epoch}` —
-    /// a collective over exactly the members of that epoch.
+    /// `old` is retired first, locally: stale unexpected messages are
+    /// counted, departed peers are invalidated in the PML handshake cache,
+    /// and the CID and route are released without a collective free. The
+    /// loop then pins the update's epoch and builds with the construct
+    /// behind [`Comm::repair_via_pset`], acting on its verdicts:
+    /// * caller not a member → [`Rebuild::Removed`]; pset deleted →
+    ///   [`Rebuild::Deleted`];
+    /// * [`ErrClass::Stale`], or [`ErrClass::ProcFailed`] (the membership
+    ///   names a corpse, or a member died during the fan-in) → wait on a
+    ///   pset watcher for the next update — for a death, the failure
+    ///   bridge's prune — and rebuild at that epoch;
+    /// * [`ErrClass::Timeout`] → retry the same epoch (the collective
+    ///   aborted symmetrically on every participant).
     ///
-    /// A fault racing the rebuild is survived, not surfaced: if a member
-    /// of the pinned epoch dies after the epoch is pinned but before the
-    /// `create_from_group` fan-in completes, the fan-in fails *typed* on
-    /// every survivor (the PMIx servers detect the dead member at their
-    /// own first arrival — it never stalls), and this loop re-enters to
-    /// consume the death's own membership event and rebuild at the newer
-    /// epoch. A fan-in that times out instead (e.g. a partition straddling
-    /// the rebuild) is retried at the same epoch while the caller's budget
-    /// lasts. Only a non-transient error (or the budget expiring) returns
-    /// `Err`.
-    pub fn next_rebuild(&mut self, timeout: Duration) -> Result<Rebuild> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut stale_unexpected = 0u64;
-        'events: loop {
-            let update = loop {
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                let u = self.watcher.next_timeout(left).ok_or_else(|| {
-                    MpiError::new(
-                        ErrClass::Timeout,
-                        format!("no change to pset '{}' within {timeout:?}", self.pset),
-                    )
-                })?;
-                if u.pset == self.pset {
-                    break u;
-                }
-            };
-            let process = self.session.process().clone();
-            let obs = process.obs();
-            let p = process.proc().to_string();
-            let me = process.proc().clone();
-
-            // Retire the old communicator first, whatever happens next: any
-            // message still unexpected-queued on it was addressed to a stale
-            // epoch and must never be delivered to the rebuilt communicator.
-            stale_unexpected += self.retire_current(&update, &obs, &p);
-
-            match update.kind {
-                PsetUpdateKind::Deleted => {
-                    self.epoch = update.epoch;
-                    self.members.clear();
-                    return Ok(Rebuild::Deleted { epoch: update.epoch });
-                }
-                _ if !update.members.contains(&me) => {
-                    self.epoch = update.epoch;
-                    self.members = update.members;
-                    return Ok(Rebuild::Retired { epoch: self.epoch });
-                }
-                _ => {}
+    /// Every wait and retry draws on `budget`. A caller following a
+    /// watcher then drops its updates at or below the rebuilt epoch
+    /// ([`PsetWatcher::next_for`]).
+    pub fn rebuild(
+        &self,
+        pset: &str,
+        old: Option<Comm>,
+        trigger: Option<PsetUpdate>,
+        budget: Duration,
+    ) -> Result<Rebuild> {
+        let deadline = Instant::now() + budget;
+        let process = self.process().clone();
+        let (registry, fabric) = (process.universe().registry(), process.universe().fabric());
+        let (obs, p) = (process.obs(), process.proc().to_string());
+        let mut update = match trigger {
+            Some(u) => u,
+            None => {
+                let (epoch, members) = registry.pset_members_versioned(pset)?;
+                let (kind, members) = (PsetUpdateKind::Membership, members.to_vec());
+                PsetUpdate { pset: pset.to_owned(), epoch, kind, members, ctx: None }
             }
-            let comm = loop {
-                let mut span = obs.span(
-                    &p,
-                    "session.rebuild",
-                    &format!("{}@{}", self.pset, update.epoch),
-                );
+        };
+        let stale_unexpected = old.map_or(0, |old| retire(old, &update, &obs, &p));
+        let mut watcher = None;
+        loop {
+            if update.kind == PsetUpdateKind::Deleted {
+                return Ok(Rebuild::Deleted { epoch: update.epoch });
+            }
+            if !update.members.contains(process.proc()) {
+                return Ok(Rebuild::Removed { epoch: update.epoch });
+            }
+            let dead = update.members.iter().find(|m| {
+                registry.locate(m).is_ok_and(|entry| !fabric.is_alive(entry.endpoint))
+            });
+            let verdict = if let Some(dead) = dead {
+                // Its prune is queued or imminent: skip the doomed fan-in.
+                Err(MpiError::new(
+                    ErrClass::ProcFailed,
+                    format!("pset '{pset}'@{} names dead member {dead}", update.epoch),
+                ))
+            } else {
+                let mut span = obs.span(&p, "session.rebuild", &format!("{pset}@{}", update.epoch));
                 if let Some(ctx) = update.ctx {
                     span.link(ctx);
                 }
                 span.add_work(update.members.len() as u64);
                 let _entered = span.enter();
-                let group = self
-                    .session
-                    .group_from_pset_at(&self.pset, update.epoch)
-                    .or_else(|e| {
-                        // The registry may legitimately be *ahead* of this
-                        // event (the driver already issued the next churn);
-                        // fall back to the membership the event itself
-                        // carries — that is the epoch-consistent snapshot.
-                        if e.class != ErrClass::Stale {
-                            return Err(e);
-                        }
-                        let registry = process.universe().registry();
-                        let refs: Vec<ProcRef> = update
-                            .members
-                            .iter()
-                            .map(|proc| {
-                                let entry = registry.locate(proc)?;
-                                Ok(ProcRef { proc: proc.clone(), endpoint: entry.endpoint })
-                            })
-                            .collect::<Result<_>>()?;
-                        Ok(MpiGroup::from_members(refs).bind(process.clone()))
-                    })?;
-                match Comm::create_from_group(
-                    &group,
-                    &format!("rebuild:{}@{}", self.pset, update.epoch),
-                ) {
-                    Ok(c) => break c,
-                    Err(e)
-                        if matches!(
-                            e.class,
-                            ErrClass::ProcFailed | ErrClass::ProcTerminated
-                        ) =>
-                    {
-                        // A second fault landed mid-rebuild. The failure
-                        // bridge marks the death before it shrinks psets,
-                        // so this pset's next membership event is already
-                        // queued (or imminent) on our watcher: consume it
-                        // and rebuild at the newer epoch.
-                        obs.counter(&p, "session", "rebuild_reentered").inc();
-                        obs.event(
-                            &p,
-                            "session",
-                            "rebuild.reenter",
-                            vec![
-                                ("pset".into(), self.pset.as_str().into()),
-                                ("epoch".into(), update.epoch.into()),
-                                ("error".into(), e.to_string().into()),
-                            ],
-                        );
-                        continue 'events;
-                    }
-                    Err(e)
-                        if e.class == ErrClass::Timeout
-                            && std::time::Instant::now() < deadline =>
-                    {
-                        // Transient: the collective aborted symmetrically
-                        // on every participant, so a retry at the same
-                        // epoch is well-formed. Keep trying while the
-                        // caller's budget lasts.
-                        obs.counter(&p, "session", "rebuild_retries").inc();
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+                Comm::from_pset_at(self, pset, update.epoch)
             };
-            let pgcid = comm.excid().map(|e| e.pgcid).unwrap_or(0);
-            self.comm = Some(comm);
-            self.epoch = update.epoch;
-            self.members = update.members;
-            obs.counter(&p, "session", "rebuilds").inc();
-            obs.event(
-                &p,
-                "session",
-                "session.rebuild",
-                vec![
-                    ("pset".into(), self.pset.as_str().into()),
-                    ("epoch".into(), self.epoch.into()),
-                    ("pgcid".into(), pgcid.into()),
-                    ("stale_unexpected".into(), stale_unexpected.into()),
-                ],
-            );
-            return Ok(Rebuild::Rebuilt { epoch: self.epoch });
-        }
-    }
-
-    /// Locally retire the current communicator ahead of `update` taking
-    /// effect: count stale unexpected messages, invalidate departed peers
-    /// in the handshake cache, release the route. Returns the stale count.
-    fn retire_current(
-        &mut self,
-        update: &PsetUpdate,
-        obs: &std::sync::Arc<obs::Registry>,
-        p: &str,
-    ) -> u64 {
-        let Some(old) = self.comm.take() else { return 0 };
-        let stale_unexpected = old.unexpected_queued() as u64;
-        let mut departed = 0u64;
-        for member in old.group().iter() {
-            if !update.members.contains(&member.proc)
-                && old.process().pml().invalidate_peer(member.endpoint)
-            {
-                departed += 1;
+            let e = match verdict {
+                Ok(comm) => {
+                    let pgcid = comm.excid().map(|e| e.pgcid).unwrap_or(0);
+                    obs.counter(&p, "session", "rebuilds").inc();
+                    obs.event(
+                        &p,
+                        "session",
+                        "session.rebuild",
+                        vec![
+                            ("pset".into(), pset.into()),
+                            ("epoch".into(), update.epoch.into()),
+                            ("pgcid".into(), pgcid.into()),
+                            ("stale_unexpected".into(), stale_unexpected.into()),
+                        ],
+                    );
+                    return Ok(Rebuild::Rebuilt { comm, epoch: update.epoch });
+                }
+                Err(e) => e,
+            };
+            match e.class {
+                ErrClass::Timeout if Instant::now() < deadline => {
+                    obs.counter(&p, "session", "rebuild_retries").inc();
+                    continue;
+                }
+                ErrClass::ProcFailed => {
+                    obs.counter(&p, "session", "rebuild_reentered").inc();
+                    obs.event(
+                        &p,
+                        "session",
+                        "rebuild.reenter",
+                        vec![
+                            ("pset".into(), pset.into()),
+                            ("epoch".into(), update.epoch.into()),
+                            ("error".into(), e.to_string().into()),
+                        ],
+                    );
+                }
+                ErrClass::Stale => {}
+                _ => return Err(e),
             }
+            if watcher.is_none() {
+                watcher = Some(self.watch_psets()?);
+            }
+            let (epoch, left) = (update.epoch, deadline.saturating_duration_since(Instant::now()));
+            update = watcher.as_ref().and_then(|w| w.next_for(pset, epoch, left)).ok_or_else(|| {
+                let why = format!("pset '{pset}' stuck at epoch {epoch} for {budget:?}: {e}");
+                MpiError::new(ErrClass::Timeout, why)
+            })?;
         }
-        old.abandon_local();
-        obs.event(
-            p,
-            "session",
-            "elastic.retire",
-            vec![
-                ("pset".into(), self.pset.as_str().into()),
-                ("epoch".into(), update.epoch.into()),
-                ("stale_unexpected".into(), stale_unexpected.into()),
-                ("departed_invalidated".into(), departed.into()),
-            ],
-        );
-        stale_unexpected
     }
 }
 
-impl Drop for ElasticComm {
-    fn drop(&mut self) {
-        if let Some(comm) = self.comm.take() {
-            comm.abandon_local();
+/// Locally retire `old` ahead of `update` taking effect: count stale
+/// unexpected messages, invalidate departed peers in the handshake cache,
+/// release the CID and route. Returns the stale count.
+fn retire(old: Comm, update: &PsetUpdate, obs: &obs::Registry, p: &str) -> u64 {
+    let stale_unexpected = old.unexpected_queued() as u64;
+    let mut departed = 0u64;
+    for member in old.group().iter() {
+        if !update.members.contains(&member.proc)
+            && old.process().pml().invalidate_peer(member.endpoint)
+        {
+            departed += 1;
         }
     }
+    old.abandon();
+    obs.event(
+        p,
+        "session",
+        "elastic.retire",
+        vec![
+            ("pset".into(), update.pset.as_str().into()),
+            ("epoch".into(), update.epoch.into()),
+            ("stale_unexpected".into(), stale_unexpected.into()),
+            ("departed_invalidated".into(), departed.into()),
+        ],
+    );
+    stale_unexpected
 }

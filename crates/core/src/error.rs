@@ -18,15 +18,12 @@ pub enum ErrClass {
     Group,
     /// `MPI_ERR_TRUNCATE` — receive buffer too small.
     Truncate,
-    /// `MPI_ERR_PROC_FAILED` (ULFM-style) — a peer process failed.
+    /// `MPIX_ERR_PROC_FAILED` (ULFM) — a peer this operation depends on
+    /// is dead: the runtime discovered the death while the operation was
+    /// in flight, or the policy layer (fault-aware waits,
+    /// `Comm::repair_via_pset`, `Session::rebuild`) found the peer already
+    /// dead and failed fast instead of burning a timeout budget.
     ProcFailed,
-    /// A peer this operation was waiting on is *already known dead* when
-    /// the operation is issued or polled: the policy layer (fault-aware
-    /// waits, `Comm::repair_via_pset`, `ElasticComm` rebuild) returns this
-    /// instead of burning a timeout budget on a peer that can never answer.
-    /// Distinct from [`ErrClass::ProcFailed`], which reports a failure the
-    /// runtime *discovered* while the operation was in flight.
-    ProcTerminated,
     /// `MPI_ERR_UNSUPPORTED_OPERATION`.
     Unsupported,
     /// `MPI_ERR_SESSION` — invalid or finalized session.

@@ -121,7 +121,7 @@ impl Session {
     /// The pset is versioned under the registry epoch like any other, so
     /// it composes with [`Session::group_from_pset`],
     /// [`Session::group_from_pset_at`] (epoch-pinned), and
-    /// [`crate::elastic::ElasticComm`]. It is **opt-in** (not defined at
+    /// [`Session::rebuild`]. It is **opt-in** (not defined at
     /// launch) so jobs that never track faults keep their exact pset
     /// epoch sequence. Returns the pset name.
     pub fn track_faults(&self) -> Result<String> {

@@ -84,7 +84,7 @@ pub mod world;
 
 pub use comm::{CidOrigin, Comm};
 pub use datatype::{MpiScalar, ReduceOp};
-pub use elastic::{ElasticComm, PsetUpdate, PsetUpdateKind, PsetWatcher, Rebuild};
+pub use elastic::{PsetUpdate, PsetUpdateKind, PsetWatcher, Rebuild};
 pub use errhandler::ErrHandler;
 pub use error::{ErrClass, MpiError, Result};
 pub use ft::{FailureNotifier, FaultWatcher};

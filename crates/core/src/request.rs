@@ -265,7 +265,7 @@ impl Request {
     /// fabric quiesced, [`pmix::LogicalDeadline`]). Expiry surfaces as an
     /// [`ErrClass::Timeout`] error naming the request kind; the request
     /// stays live and a later `test`/`wait` can still claim it.
-    /// The wait also fails fast — typed [`ErrClass::ProcTerminated`], well
+    /// The wait also fails fast — typed [`ErrClass::ProcFailed`], well
     /// before the budget expires — when the one peer this request depends
     /// on ([`ReqInner::waiting_on`]) is already dead and the fabric is
     /// quiet: nothing that could still complete the request is in flight,
@@ -293,7 +293,7 @@ impl Request {
                             .ok_or_else(|| MpiError::intern("completed request without status"));
                     }
                     let err = MpiError::new(
-                        ErrClass::ProcTerminated,
+                        ErrClass::ProcFailed,
                         format!(
                             "{:?} request waits on endpoint {ep:?}, whose process is dead \
                              and the fabric is quiet: it can never complete",
@@ -317,7 +317,7 @@ impl Request {
     /// [`Request::wait_timeout`] for receives: bounded wait returning the
     /// payload bytes and status. Same typed verdicts as `wait_timeout` —
     /// [`ErrClass::Timeout`] on budget expiry (the request stays live and
-    /// can be retried), fast [`ErrClass::ProcTerminated`] when the one
+    /// can be retried), fast [`ErrClass::ProcFailed`] when the one
     /// peer the receive depends on is dead and the fabric is quiet. This
     /// is the primitive fault-aware application loops build on: every
     /// blocking point has a bounded, typed exit instead of an unbounded
@@ -1026,7 +1026,7 @@ impl<T: Send + 'static> SetupRequest<T> {
                     if let Some(peer) = core.waiting_on_proc() {
                         if core.process.universe().proc_is_dead(&peer) {
                             let err = MpiError::new(
-                                ErrClass::ProcTerminated,
+                                ErrClass::ProcFailed,
                                 format!(
                                     "setup request waits on dead peer {peer}: {}",
                                     core.diagnosis()

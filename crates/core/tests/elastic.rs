@@ -1,10 +1,8 @@
 //! Dynamic process sets end to end: grow the job, kill a rank, retire a
 //! rank gracefully, and have every survivor follow the pset through its
-//! epochs with [`ElasticComm`] rebuilds.
+//! epochs with [`Session::rebuild`].
 
-use mpi_sessions::{
-    coll, ElasticComm, ErrClass, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel,
-};
+use mpi_sessions::{coll, ErrClass, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel};
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
 use std::sync::mpsc;
@@ -39,18 +37,21 @@ fn elastic_grow_kill_retire_rebuilds_survivors() {
     let spec = JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]);
     let handle = launcher.spawn_named("elasticjob", spec, move |ctx| {
         let session = new_session(&ctx);
-        let mut ec = ElasticComm::establish(&session, PSET, STEP).unwrap();
+        let watcher = session.watch_psets().unwrap();
+        let (mut comm, mut epoch) = (None, 0);
         let mut history: Vec<(u64, u32)> = Vec::new();
         loop {
-            // One allreduce per epoch: a collective proof that every
-            // member of this epoch is on the rebuilt communicator.
-            let comm = ec.comm().expect("member has a communicator");
-            let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
-            history.push((ec.epoch(), sum));
-            tx.send((ctx.rank(), ec.epoch(), sum)).unwrap();
-            match ec.next_rebuild(STEP) {
-                Ok(Rebuild::Rebuilt { .. }) => continue,
-                Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
+            let update = watcher.next_for(PSET, epoch, STEP).expect("pset change");
+            match session.rebuild(PSET, comm.take(), Some(update), STEP) {
+                Ok(Rebuild::Rebuilt { comm: c, epoch: e }) => {
+                    // One allreduce per epoch: a collective proof that
+                    // every member of this epoch is on the rebuilt comm.
+                    let sum = coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap()[0];
+                    history.push((e, sum));
+                    tx.send((ctx.rank(), e, sum)).unwrap();
+                    (comm, epoch) = (Some(c), e);
+                }
+                Ok(Rebuild::Removed { .. } | Rebuild::Deleted { .. }) => break,
                 Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
             }
         }
@@ -130,9 +131,7 @@ fn group_from_pset_at_detects_stale_epoch() {
         // Pinned resolution succeeds at the current epoch...
         let g = session.group_from_pset_at(PSET, first.epoch).unwrap();
         assert_eq!(g.size(), 2);
-        if ctx.rank() == 0 {
-            tx.send(first.epoch).unwrap();
-        }
+        tx.send(first.epoch).unwrap();
         // ...and after the driver mutates the pset, the same pin is a
         // typed stale error, not a silently-different group.
         let second = watcher.next_timeout(STEP).expect("membership change");
@@ -144,7 +143,9 @@ fn group_from_pset_at_detects_stale_epoch() {
         session.finalize().unwrap();
         g2.size()
     });
+    // Both ranks must hold their first pin before the pset moves.
     let epoch = rx.recv_timeout(STEP).unwrap();
+    assert_eq!(rx.recv_timeout(STEP).unwrap(), epoch);
     // Shrink the pset directly through the registry (driver-side churn).
     let registry = launcher.universe().registry();
     let (cur, members) = registry.pset_members_versioned(PSET).unwrap();

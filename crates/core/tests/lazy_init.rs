@@ -329,11 +329,9 @@ fn killed_peer_card_is_evicted_from_resolver_cache() {
         // And a fresh send to the corpse fails typed, not with a dangling
         // route from the stale card.
         let err = comm.send(1, 9, b"to-the-dead").unwrap_err();
-        assert!(
-            matches!(
-                err.class,
-                mpi_sessions::ErrClass::ProcFailed | mpi_sessions::ErrClass::ProcTerminated
-            ),
+        assert_eq!(
+            err.class,
+            mpi_sessions::ErrClass::ProcFailed,
             "send to a dead peer must fail typed, got {err}"
         );
         session.finalize().unwrap();

@@ -1,24 +1,28 @@
 //! The fault-aware recovery surface: `watch_faults` (exactly-once replay),
 //! the opt-in queryable faults pset (`Session::track_faults`), the typed
-//! `Comm::shrink` / `Comm::repair_via_pset` primitives, and the elastic
-//! rebuild loop's re-entry when a second fault races a rebuild.
+//! `Comm::shrink` / `Comm::repair_via_pset` primitives, and the
+//! `Session::rebuild` loop's re-entry when a second fault races a rebuild.
 //!
-//! Two of these are fails-pre-fix regressions:
+//! Three of these are fails-pre-fix regressions:
 //! * `dead_remote_member_fails_group_fanin_typed` — `coll_begin` used to
 //!   scan only the server's *local* participants for deaths, so a dead
 //!   member homed alone on a remote node stalled every other participant
 //!   forever (the remote server gets no local arrival to detect against);
-//! * `cascading_rebuild_reenters_to_newer_epoch` — `ElasticComm` used to
-//!   surface a terminal error when the pinned-epoch membership contained a
-//!   member that died after the pin, instead of consuming the death's own
-//!   membership event and rebuilding at the newer epoch.
+//! * `cascading_rebuild_reenters_to_newer_epoch` — the rebuild loop used
+//!   to surface a terminal error when the pinned-epoch membership
+//!   contained a member that died after the pin, instead of consuming the
+//!   death's own membership event and rebuilding at the newer epoch;
+//! * `kill_during_repair_fanin_rebuilds_at_newer_epoch` — the recovery
+//!   workload's own repair loop treated a death during the repair fan-in
+//!   as unrecoverable and panicked.
 
 use mpi_sessions::session::PSET_WORLD;
 use mpi_sessions::{
-    coll, Comm, ElasticComm, ErrClass, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel,
+    coll, Comm, ErrClass, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel,
 };
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn new_session(ctx: &prrte::ProcCtx) -> Session {
@@ -164,12 +168,19 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
     let spec = JobSpec::new(4).with_pset("app://crew", vec![0, 1, 2, 3]);
     let handle = launcher.spawn_named("cascade", spec, |ctx| {
         let session = new_session(&ctx);
-        let mut ec =
-            ElasticComm::establish(&session, "app://crew", Duration::from_secs(10)).unwrap();
-        let warm = coll::allreduce_t(ec.comm().unwrap(), ReduceOp::Sum, &[1u32]).unwrap()[0];
+        let watcher = session.watch_psets().unwrap();
+        let budget = Duration::from_secs(10);
+        let first = watcher.next_for("app://crew", 0, budget).expect("definition");
+        let Rebuild::Rebuilt { comm, epoch } =
+            session.rebuild("app://crew", None, Some(first), budget).unwrap()
+        else {
+            panic!("every rank is a member of the launch-time pset");
+        };
+        let warm = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(warm, 4);
         if ctx.rank() >= 2 {
             std::thread::sleep(Duration::from_secs(5));
+            comm.abandon();
             return 0u32;
         }
         // Hold the rebuild until BOTH deaths are known, so the cascade is
@@ -182,14 +193,15 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
         ];
         dead.sort_unstable();
         assert_eq!(dead, vec![2, 3]);
-        match ec.next_rebuild(Duration::from_secs(20)).unwrap() {
-            Rebuild::Rebuilt { .. } => {}
+        let budget = Duration::from_secs(20);
+        let update = watcher.next_for("app://crew", epoch, budget).expect("membership change");
+        let comm = match session.rebuild("app://crew", Some(comm), Some(update), budget).unwrap() {
+            Rebuild::Rebuilt { comm, .. } => comm,
             other => panic!("expected a rebuild over the survivors, got {other:?}"),
-        }
-        let comm = ec.comm().expect("rebuilt communicator");
+        };
         assert_eq!(comm.size(), 2);
-        let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
-        drop(ec);
+        let sum = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
+        comm.abandon();
         session.finalize().unwrap();
         sum
     });
@@ -206,6 +218,63 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
         obs.sum_counters("session", "rebuild_reentered") >= 1,
         "at least one survivor re-entered the rebuild loop"
     );
+}
+
+#[test]
+fn kill_during_repair_fanin_rebuilds_at_newer_epoch() {
+    // Fails-pre-fix regression: after rank 3 dies, ranks 0 and 1 pass the
+    // alive check of the pruned epoch and park in its repair fan-in,
+    // waiting for rank 2 — which then dies too. The fan-in fails typed;
+    // the loop must rebuild at the second prune's epoch, where rank 2
+    // comes out `Removed`. Ranks 0 and 1 share node 0, whose server emits
+    // `group.fanin` exactly when both are parked.
+    let launcher = Launcher::new(SimTestbed::tiny(2, 2));
+    let obs = launcher.universe().fabric().obs();
+    let hold = Arc::new(Barrier::new(2));
+    let (warm_tx, warm_rx) = std::sync::mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), {
+        let hold = hold.clone();
+        move |ctx| {
+            let session = new_session(&ctx);
+            let pset = session.track_faults().unwrap();
+            let mut faults = session.watch_faults().unwrap();
+            let world = session.group_from_pset(PSET_WORLD).unwrap();
+            let comm = Comm::create_from_group(&world, "pre-fault").unwrap();
+            assert_eq!(coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
+            warm_tx.send(()).unwrap();
+            assert_eq!(faults.next_timeout(Duration::from_secs(10)).expect("fault").rank(), 3);
+            match ctx.rank() {
+                3 => return None,
+                2 => drop(hold.wait()), // kept out of the repair until killed
+                _ => {}
+            }
+            Some(match session.rebuild(&pset, Some(comm), None, Duration::from_secs(20)) {
+                Ok(Rebuild::Rebuilt { comm, epoch }) => {
+                    (epoch, coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0])
+                }
+                Ok(Rebuild::Removed { epoch }) => (epoch, 0),
+                other => panic!("rank {} got {other:?}", ctx.rank()),
+            })
+        }
+    });
+    for _ in 0..4 {
+        warm_rx.recv_timeout(Duration::from_secs(30)).expect("warm allreduce");
+    }
+    handle.kill_rank(3);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !obs.events_named("group.fanin").iter().any(|e| {
+        e.attr("op").and_then(|v| v.as_str()).is_some_and(|op| op.contains("repair:"))
+    }) {
+        assert!(Instant::now() < deadline, "ranks 0 and 1 never parked in the repair fan-in");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    handle.kill_rank(2);
+    hold.wait();
+    let out = handle.join().unwrap();
+    let (removed_at, width) = out[2].expect("rank 2 ran the loop");
+    assert_eq!(width, 0, "rank 2 is removed, not rebuilt");
+    assert_eq!(out[..2], [Some((removed_at, 2)); 2], "survivors rebuild at that epoch");
+    assert!(obs.sum_counters("session", "rebuild_reentered") >= 2, "both parked ranks re-entered");
 }
 
 #[test]

@@ -5,14 +5,13 @@
 //! runs. This example drives the full lifecycle: launch 4 ranks on a pset,
 //! grow to 8, kill one rank (failure-driven shrink), retire one gracefully
 //! (runtime-driven shrink), then delete the pset. Every surviving rank
-//! follows along with `ElasticComm`: each pset epoch yields a freshly
+//! follows along through `Session::rebuild`: each pset epoch yields a freshly
 //! derived group and a rebuilt communicator, proven live by a collective.
 //!
 //! Run with: `cargo run --release --example elastic`
 
-use mpi_sessions_repro::mpi::{
-    coll, ElasticComm, ErrHandler, Info, Rebuild, ReduceOp, Session, ThreadLevel,
-};
+use mpi_sessions_repro::apps::elastic::follow_pset;
+use mpi_sessions_repro::mpi::{ErrHandler, Info, Session, ThreadLevel};
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
 use mpi_sessions_repro::simnet::SimTestbed;
 use std::sync::mpsc;
@@ -29,30 +28,17 @@ fn main() {
         let session =
             Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null())
                 .expect("session init");
-        // Subscribe to the pset, build the first communicator at the
-        // current epoch (late joiners see the epoch they were grown into).
-        let mut ec = ElasticComm::establish(&session, PSET, STEP).expect("establish");
+        // Subscribe to the pset; its replayed definition builds the first
+        // communicator (late joiners see the epoch they were grown into),
+        // and one allreduce per epoch proves every member of that epoch
+        // is on the rebuilt communicator, or this would hang.
         let mut epochs = 0u32;
-        loop {
-            // One allreduce per epoch: every member of this epoch is on
-            // the rebuilt communicator, or this would hang.
-            let comm = ec.comm().expect("member has a communicator");
-            let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).expect("allreduce")[0];
+        let end = follow_pset(&session, PSET, STEP, |epoch, sum| {
             epochs += 1;
-            tx.send((ctx.rank(), ec.epoch(), sum)).expect("ack");
-            match ec.next_rebuild(STEP) {
-                Ok(Rebuild::Rebuilt { .. }) => continue,
-                Ok(Rebuild::Retired { epoch }) => {
-                    println!("  rank {} left the pset at epoch {epoch}", ctx.rank());
-                    break;
-                }
-                Ok(Rebuild::Deleted { epoch }) => {
-                    println!("  rank {} saw the pset deleted at epoch {epoch}", ctx.rank());
-                    break;
-                }
-                Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-            }
-        }
+            tx.send((ctx.rank(), epoch, sum)).expect("ack");
+        });
+        // `Removed` (killed or retired) or `Deleted` (the pset is gone).
+        println!("  rank {} stopped following: {end:?}", ctx.rank());
         session.finalize().expect("finalize");
         epochs
     });

@@ -25,6 +25,14 @@ fn new_session(ctx: &ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
 }
 
+/// A session pinned to `init_mode` (`"eager"` or `"lazy"`), whatever the
+/// `INIT_MODE` default of the sweep.
+fn session_in_mode(ctx: &ProcCtx, mode: &str) -> Session {
+    let info = Info::new();
+    info.set(mpi_sessions_repro::mpi::info::keys::INIT_MODE, mode);
+    Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap()
+}
+
 fn all_procs(ctx: &ProcCtx) -> Vec<ProcId> {
     let ns = ctx.proc().nspace().to_owned();
     (0..ctx.size()).map(|r| ProcId::new(ns.as_str(), r)).collect()
@@ -34,6 +42,19 @@ fn all_procs(ctx: &ProcCtx) -> Vec<ProcId> {
 fn rank_processes(world: &ChaosWorld, ranks: std::ops::Range<u32>) -> Vec<String> {
     let base = world.universe().fabric().base_endpoint_id();
     ranks.map(|r| (base + world.rank_rel(r)).to_string()).collect()
+}
+
+/// Poll (every 10 ms, for up to 10 s) until `rank`'s death is visible to
+/// this process: it has left the session's surviving world.
+fn await_death(session: &Session, rank: u32) {
+    for _ in 0..1000 {
+        let sg = session.surviving_group("mpi://world").unwrap();
+        if sg.iter().all(|m| m.proc.rank() != rank) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("the death of rank {rank} never became visible");
 }
 
 // ---------------------------------------------------------------------------
@@ -182,11 +203,15 @@ fn run_kill(seed: u64) -> RunReport {
     );
     let world = ChaosWorld::new(SimTestbed::tiny(2, 2), plan);
     let nspace = format!("chaos-kill-{seed}");
+    // `failure_notifier` hears live events only: every rank subscribes
+    // before any rank enters the fence that pulls the trigger.
+    let subscribed = std::sync::Arc::new(std::sync::Barrier::new(4));
     let out = world
         .launcher()
-        .spawn_named(&nspace, JobSpec::new(4), |ctx| {
+        .spawn_named(&nspace, JobSpec::new(4), move |ctx| {
             let session = new_session(&ctx);
             let notifier = session.failure_notifier().unwrap();
+            subscribed.wait();
             let all = all_procs(&ctx);
             // The fence's inter-server exchange pulls the trigger. The
             // failure may race the fence's own completion, so either
@@ -283,14 +308,10 @@ fn run_partition(seed: u64) -> RunReport {
 
 /// Elastic: pset churn (grow, kill, graceful retire, delete) under delayed
 /// inter-server traffic. Every surviving rank follows the pset through its
-/// epochs with [`ElasticComm`] rebuilds; the epoch-monotonicity,
-/// rebuild-epoch and stale-epoch invariants then audit the whole run.
+/// epochs with [`Session::rebuild`] (the shared churn drill); the
+/// epoch-monotonicity, rebuild-epoch and stale-epoch invariants then audit
+/// the whole run.
 fn run_elastic(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
-    use std::sync::mpsc;
-
-    const PSET: &str = "app://chaos-elastic";
-    const STEP: Duration = Duration::from_secs(20);
     let plan = FaultPlan::new(
         seed,
         vec![FaultRule::new(
@@ -301,45 +322,15 @@ fn run_elastic(seed: u64) -> RunReport {
         .with_delay_ms(20)],
     );
     let world = ChaosWorld::new(SimTestbed::tiny(2, 4), plan);
-    let nspace = format!("chaos-elastic-{seed}");
-    let (tx, rx) = mpsc::channel::<(u32, u64, u32)>();
-    let handle = world.launcher().spawn_named(
-        &nspace,
-        JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
-        move |ctx| {
-            let session = new_session(&ctx);
-            let mut ec = ElasticComm::establish(&session, PSET, STEP).unwrap();
-            loop {
-                let comm = ec.comm().expect("member has a communicator");
-                let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
-                tx.send((ctx.rank(), ec.epoch(), sum)).unwrap();
-                match ec.next_rebuild(STEP) {
-                    Ok(Rebuild::Rebuilt { .. }) => continue,
-                    Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
-                    Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-                }
-            }
-            session.finalize().unwrap();
-            ctx.rank()
-        },
+    // Epochs 1–4: launch-time definition, grown to 8, the failure bridge
+    // shrinking around killed rank 7, rank 6's graceful retire.
+    mpi_sessions_repro::apps::elastic::churn_drill(
+        world.launcher(),
+        &format!("chaos-elastic-{seed}"),
+        "app://chaos-elastic",
+        Duration::from_secs(20),
+        |p| world.kill_proc(p),
     );
-    let ctl = handle.ctl();
-    let expect = |n: usize, epoch: u64, sum: u32| {
-        for _ in 0..n {
-            let (rank, e, s) = rx.recv_timeout(STEP).expect("ack before timeout");
-            assert_eq!((e, s), (epoch, sum), "rank {rank} at wrong epoch/membership");
-        }
-    };
-    expect(4, 1, 4); // epoch 1: launch-time definition
-    assert_eq!(ctl.spawn_ranks(4, Some(PSET)), vec![4, 5, 6, 7]);
-    expect(8, 2, 8); // epoch 2: grown to 8
-    world.kill_proc(&ProcId::new(nspace.as_str(), 7));
-    expect(7, 3, 7); // epoch 3: failure bridge shrank the pset
-    ctl.retire_ranks(&[6], Some(PSET)).unwrap();
-    expect(6, 4, 6); // epoch 4: graceful retire
-    world.universe().registry().undefine_pset(PSET);
-    let out = handle.join().unwrap();
-    assert_eq!(out.len(), 7, "6 survivors + the killed rank's thread");
     // Ranks joined at different epochs, so cid counters legitimately
     // diverge — skip the symmetric cid-agreement list.
     let report = world.finish(None, Vec::new());
@@ -403,14 +394,7 @@ fn run_soak(seed: u64) -> RunReport {
                 // Synchronize on the kill: every thread (including the
                 // victim's) waits until the death is globally visible so
                 // the next wave agrees on its membership.
-                for i in 0..1000 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                        break;
-                    }
-                    assert!(i < 999, "kill never became visible");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                await_death(&session, VICTIM);
             }
             let group = session.surviving_group("mpi://world").unwrap();
             if group.iter().all(|m| m.proc.rank() != ctx.rank()) {
@@ -538,11 +522,7 @@ fn run_async_setup(seed: u64) -> RunReport {
         // the mode so the ci.sh INIT_MODE=lazy sweep (where constructs
         // are local and failure surfaces on first send instead) doesn't
         // change what it tests.
-        use mpi_sessions_repro::mpi::info::keys;
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "eager");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        let session = session_in_mode(&ctx, "eager");
         let process = MpiProcess::obtain(&ctx);
         let world_group = session.group_from_pset("mpi://world").unwrap();
         // Batch 1: pipelined constructs whose group stages straddle the
@@ -571,14 +551,7 @@ fn run_async_setup(seed: u64) -> RunReport {
                 .collect()
         };
         tx.send((ctx.rank(), "issued")).unwrap();
-        for i in 0..1000 {
-            let sg = session.surviving_group("mpi://world").unwrap();
-            if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                break;
-            }
-            assert!(i < 999, "kill never became visible");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        await_death(&session, VICTIM);
         if ctx.rank() == VICTIM {
             // The victim: its endpoint is dead; bow out without finalize.
             return 0;
@@ -637,7 +610,6 @@ fn run_async_setup(seed: u64) -> RunReport {
 /// invariant then audits that every `begin` on every rank reached an
 /// `end` with outcome `resolved` or `failed`.
 fn run_lazy_init(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc};
 
@@ -662,10 +634,7 @@ fn run_lazy_init(seed: u64) -> RunReport {
         &nspace,
         JobSpec::new(4).with_pset(PSET, vec![0, 1, 2, 3]),
         move |ctx| {
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "lazy");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            let session = session_in_mode(&ctx, "lazy");
             assert!(session.is_lazy());
             let g = session.group_from_pset("mpi://world").unwrap();
             let c = Comm::create_from_group(&g, "lazy-chaos").unwrap();
@@ -744,15 +713,13 @@ fn run_lazy_init(seed: u64) -> RunReport {
 /// Correlated kills: two ranks on *different nodes* die back-to-back while
 /// every survivor holds a tracked faults pset and a fault watcher. The
 /// live watcher sees both deaths, a watcher attached after the burst
-/// replays exactly both (never more), the faults pset settles on the two
-/// survivors, and an epoch-pinned [`Comm::repair_via_pset`] rebuilds a
-/// working communicator over them. The `survivors-exclude-dead` invariant
-/// then audits that neither corpse is still listed at run end.
+/// replays exactly both (never more), and [`Session::rebuild`] waits for
+/// the faults pset to settle on the two survivors and rebuilds a working
+/// communicator over them at that epoch. The `survivors-exclude-dead`
+/// invariant then audits that neither corpse is still listed at run end.
 fn run_correlated_kills(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
-    use mpi_sessions_repro::mpi::instance::MpiProcess;
+    use mpi_sessions_repro::mpi::Rebuild;
     use std::sync::mpsc;
-    use std::time::Instant;
 
     let plan = FaultPlan::new(
         seed,
@@ -769,10 +736,7 @@ fn run_correlated_kills(seed: u64) -> RunReport {
     let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), move |ctx| {
         // Eager construct semantics are what the repair path exercises;
         // pin the mode so the ci.sh INIT_MODE=lazy sweep doesn't change it.
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "eager");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        let session = session_in_mode(&ctx, "eager");
         let pset = session.track_faults().unwrap();
         let mut faults = session.watch_faults().unwrap();
         let g = session.group_from_pset("mpi://world").unwrap();
@@ -782,14 +746,8 @@ fn run_correlated_kills(seed: u64) -> RunReport {
         if ctx.rank() % 2 == 1 {
             // The victims (rank 1 on node 0, rank 3 on node 1): wait for
             // the own death to become globally visible, then bow out.
-            for i in 0..1000 {
-                let sg = session.surviving_group("mpi://world").unwrap();
-                if sg.iter().all(|m| m.proc.rank() != ctx.rank()) {
-                    return 0;
-                }
-                assert!(i < 999, "victim never observed its own failure");
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            await_death(&session, ctx.rank());
+            return 0;
         }
         // Survivors: the correlated burst arrives on the live watcher...
         let mut dead = vec![
@@ -807,25 +765,17 @@ fn run_correlated_kills(seed: u64) -> RunReport {
         replay.sort_unstable();
         assert_eq!(replay, vec![1, 3]);
         assert!(late.try_next().is_none(), "replay is exactly-once");
-        // The faults pset settles on the two survivors; pin its epoch and
-        // repair the broken communicator over it.
-        let registry = MpiProcess::obtain(&ctx).universe().registry().clone();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let epoch = loop {
-            let (e, m) = registry.pset_members_versioned(&pset).unwrap();
-            if m.len() == 2 {
-                break e;
-            }
-            assert!(Instant::now() < deadline, "faults pset never settled on the survivors");
-            std::thread::sleep(Duration::from_millis(10));
+        // Repair the broken communicator over the settled faults pset (the
+        // loop retires `c`, which still names the dead ranks).
+        let Rebuild::Rebuilt { comm: repaired, .. } =
+            session.rebuild(&pset, Some(c), None, Duration::from_secs(10)).unwrap()
+        else {
+            panic!("a survivor stays in the faults pset");
         };
-        let repaired = c.repair_via_pset(&session, &pset, epoch).unwrap();
         assert_eq!(repaired.size(), 2);
         let sum = coll::allreduce_t(&repaired, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(sum, 2);
         repaired.free().unwrap();
-        // `c` still names the dead ranks: its teardown cannot be
-        // collective anymore, so it is dropped, not freed.
         session.finalize().unwrap();
         sum
     });
@@ -851,8 +801,7 @@ fn run_correlated_kills(seed: u64) -> RunReport {
 /// a typed `Timeout`, and the rebuild loop retries the *same* epoch — the
 /// partition window is spent, so the retry lands and the job completes.
 fn run_partition_rebuild(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
-    use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
+    use mpi_sessions_repro::apps::elastic::follow_pset;
     use mpi_sessions_repro::obs::CvarValue;
     use std::sync::mpsc;
 
@@ -884,25 +833,14 @@ fn run_partition_rebuild(seed: u64) -> RunReport {
         move |ctx| {
             // A lazy construct is local and would never cross the cut; pin
             // eager so the INIT_MODE=lazy sweep keeps testing the retry.
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "eager");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
-            // The establish *is* the partitioned rebuild: its fan-in is the
-            // first traffic crossing the server pair, so each direction's
-            // opening message is dropped, the construct times out, and the
-            // inner retry (same epoch) goes through.
-            let mut ec = ElasticComm::establish(&session, PSET, STEP).unwrap();
-            loop {
-                let comm = ec.comm().expect("member has a communicator");
-                let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
-                tx.send((ctx.rank(), ec.epoch(), sum)).unwrap();
-                match ec.next_rebuild(STEP) {
-                    Ok(Rebuild::Rebuilt { .. }) => continue,
-                    Ok(Rebuild::Retired { .. }) | Ok(Rebuild::Deleted { .. }) => break,
-                    Err(e) => panic!("rank {} rebuild failed: {e}", ctx.rank()),
-                }
-            }
+            let session = session_in_mode(&ctx, "eager");
+            // The first build *is* the partitioned rebuild: its fan-in is
+            // the first traffic crossing the server pair, so each
+            // direction's opening message is dropped, the construct times
+            // out, and the loop's retry (same epoch) goes through.
+            follow_pset(&session, PSET, STEP, |epoch, sum| {
+                tx.send((ctx.rank(), epoch, sum)).unwrap();
+            });
             session.finalize().unwrap();
             ctx.rank()
         },
@@ -935,7 +873,6 @@ fn run_partition_rebuild(seed: u64) -> RunReport {
 /// replays the death exactly once.
 fn run_kill_lazy_resolve(seed: u64) -> RunReport {
     use mpi_sessions_repro::mpi::instance::MpiProcess;
-    use mpi_sessions_repro::mpi::info::keys;
     use mpi_sessions_repro::mpi::ErrClass;
     use std::sync::mpsc;
 
@@ -954,10 +891,7 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
     let (tx, rx) = mpsc::channel::<u32>();
     let ns = nspace.clone();
     let handle = world.launcher().spawn_named(&nspace, JobSpec::new(4), move |ctx| {
-        let info = Info::new();
-        info.set(keys::INIT_MODE, "lazy");
-        let session =
-            Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+        let session = session_in_mode(&ctx, "lazy");
         assert!(session.is_lazy());
         let g = session.group_from_pset("mpi://world").unwrap();
         let c = Comm::create_from_group(&g, "lazy-kill").unwrap();
@@ -975,14 +909,8 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
         if ctx.rank() == VICTIM {
             // The victim: wait out the own death, then bow out (no
             // finalize — the runtime already considers this process gone).
-            for i in 0..1000 {
-                let sg = session.surviving_group("mpi://world").unwrap();
-                if sg.iter().all(|m| m.proc.rank() != VICTIM) {
-                    return 0u32;
-                }
-                assert!(i < 999, "victim never observed its own failure");
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            await_death(&session, VICTIM);
+            return 0u32;
         }
         // Survivors: the death arrives live, and a late watcher replays it
         // exactly once.
@@ -1012,8 +940,9 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
                 std::thread::sleep(Duration::from_millis(10));
             }
             let err = c.send(VICTIM, 9, b"late").unwrap_err();
-            assert!(
-                matches!(err.class, ErrClass::ProcFailed | ErrClass::ProcTerminated),
+            assert_eq!(
+                err.class,
+                ErrClass::ProcFailed,
                 "probe to the corpse must fail typed, got: {err}"
             );
         }
@@ -1054,8 +983,7 @@ fn run_kill_lazy_resolve(seed: u64) -> RunReport {
 /// error. The tracked faults pset keeps the `survivors-exclude-dead`
 /// invariant in play across the cascade.
 fn run_cascade_rebuild(seed: u64) -> RunReport {
-    use mpi_sessions_repro::mpi::info::keys;
-    use mpi_sessions_repro::mpi::{ElasticComm, Rebuild};
+    use mpi_sessions_repro::mpi::Rebuild;
     use std::sync::mpsc;
 
     const PSET: &str = "app://chaos-cascade";
@@ -1077,25 +1005,23 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
         move |ctx| {
             // The re-enter path is an eager construct failing typed on a
             // dead member; pin the mode against the INIT_MODE=lazy sweep.
-            let info = Info::new();
-            info.set(keys::INIT_MODE, "eager");
-            let session =
-                Session::init(&ctx, ThreadLevel::Single, ErrHandler::Return, &info).unwrap();
+            let session = session_in_mode(&ctx, "eager");
             session.track_faults().unwrap();
-            let mut ec =
-                ElasticComm::establish(&session, PSET, Duration::from_secs(10)).unwrap();
-            assert_eq!(coll::allreduce_t(ec.comm().unwrap(), ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
+            let watcher = session.watch_psets().unwrap();
+            let budget = Duration::from_secs(10);
+            let first = watcher.next_for(PSET, 0, budget).expect("definition");
+            let Rebuild::Rebuilt { comm, epoch } =
+                session.rebuild(PSET, None, Some(first), budget).unwrap()
+            else {
+                panic!("every rank is a member of the launch-time pset");
+            };
+            assert_eq!(coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0], 4);
             tx.send(ctx.rank()).unwrap();
             if ctx.rank() >= 2 {
                 // The victims: wait out the own death, then bow out.
-                for i in 0..1000 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != ctx.rank()) {
-                        return 0u32;
-                    }
-                    assert!(i < 999, "victim never observed its own failure");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                await_death(&session, ctx.rank());
+                comm.abandon();
+                return 0u32;
             }
             // Hold the rebuild until BOTH deaths are known, so the cascade
             // is guaranteed: the epoch pinned by the first membership event
@@ -1107,14 +1033,15 @@ fn run_cascade_rebuild(seed: u64) -> RunReport {
             ];
             dead.sort_unstable();
             assert_eq!(dead, vec![2, 3]);
-            match ec.next_rebuild(Duration::from_secs(20)).unwrap() {
-                Rebuild::Rebuilt { .. } => {}
+            let budget = Duration::from_secs(20);
+            let update = watcher.next_for(PSET, epoch, budget).expect("membership change");
+            let comm = match session.rebuild(PSET, Some(comm), Some(update), budget).unwrap() {
+                Rebuild::Rebuilt { comm, .. } => comm,
                 other => panic!("expected a rebuild over the survivors, got {other:?}"),
-            }
-            let comm = ec.comm().expect("rebuilt communicator");
+            };
             assert_eq!(comm.size(), 2);
-            let sum = coll::allreduce_t(comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
-            drop(ec);
+            let sum = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
+            comm.abandon();
             session.finalize().unwrap();
             sum
         },

@@ -16,6 +16,11 @@ use mpi_sessions_repro::prrte::{JobSpec, Launcher};
 use mpi_sessions_repro::simnet::SimTestbed;
 use std::time::Duration;
 
+/// Held by every test for its whole run. Endpoint ids come from one
+/// process-wide counter, so a launcher booting in a parallel test would
+/// shift the normalized ids that the kill test's fault rule targets.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One sessions-mode job: init, world comm, a little point-to-point
 /// traffic (forces the extended-header handshake), teardown.
 fn run_sessions_job(launcher: &Launcher, np: u32) {
@@ -45,6 +50,7 @@ fn run_sessions_job(launcher: &Launcher, np: u32) {
 /// extended headers), and both end up in the same trace.
 #[test]
 fn handshake_context_links_sender_to_receiver_across_processes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     run_sessions_job(&launcher, 2);
 
@@ -68,6 +74,7 @@ fn handshake_context_links_sender_to_receiver_across_processes() {
 /// at the launcher even though ranks run on their own threads.
 #[test]
 fn rank_spans_are_children_of_the_launch_span() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let launcher = Launcher::new(SimTestbed::tiny(1, 2));
     run_sessions_job(&launcher, 2);
 
@@ -90,6 +97,7 @@ fn rank_spans_are_children_of_the_launch_span() {
 /// critical-path claim rests on.
 #[test]
 fn analyzed_group_stages_have_increasing_logical_times() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     run_sessions_job(&launcher, 4);
 
@@ -136,6 +144,7 @@ fn analyzed_group_stages_have_increasing_logical_times() {
 /// `pmix.fence` span and surface in the analyzer's `fault_spans` table.
 #[test]
 fn kill_mid_fence_annotates_the_interrupted_fence_span() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut scope = RuleScope::pair_within(1, 3);
     scope.dst_in = Some((2, 3)); // only the node0→node1 server direction
     let plan = FaultPlan::new(

@@ -267,7 +267,7 @@ fn cvar_writes_are_behavior_identical_to_legacy_setters() {
 }
 
 /// Claim 5 (the dead-peer fast path): a request whose only possible
-/// completer is a dead process must fail `ProcTerminated` as soon as the
+/// completer is a dead process must fail `ProcFailed` as soon as the
 /// fabric is quiet — not burn the caller's whole logical-deadline budget
 /// and come back with a useless `Timeout`. This is a fails-pre-fix
 /// regression: before requests tracked their `waiting_on` endpoint,
@@ -301,7 +301,7 @@ fn wait_on_dead_peer_fails_proc_terminated_fast() {
         let elapsed = started.elapsed();
         assert_eq!(
             err.class,
-            ErrClass::ProcTerminated,
+            ErrClass::ProcFailed,
             "dead-peer wait must fail typed, not time out: {err}"
         );
         assert!(
@@ -316,7 +316,7 @@ fn wait_on_dead_peer_fails_proc_terminated_fast() {
     std::thread::sleep(Duration::from_millis(400));
     world.kill_proc(&mpi_sessions_repro::pmix::ProcId::new(nspace, 2));
     let out = handle.join().unwrap();
-    assert_eq!(out[0], Some(ErrClass::ProcTerminated));
+    assert_eq!(out[0], Some(ErrClass::ProcFailed));
     // The victim never constructed past the comm, so cid counters agree
     // only among the survivors — skip the symmetric agreement list.
     world.finish(None, Vec::new()).assert_clean();
