@@ -58,7 +58,8 @@ fn time_dups(
 ) -> (f64, serde_json::Value, serde_json::Value) {
     let launcher = Launcher::new(tb);
     if let Some(block) = pgcid_block {
-        launcher.universe().set_pgcid_block(block);
+        let obs = launcher.universe().fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(block)).unwrap();
     }
     let per_rank = launcher
         .spawn(JobSpec::new(np), move |ctx| {
@@ -111,7 +112,8 @@ fn time_idups(
 ) -> (f64, serde_json::Value, serde_json::Value) {
     let launcher = Launcher::new(tb);
     if let Some(block) = pgcid_block {
-        launcher.universe().set_pgcid_block(block);
+        let obs = launcher.universe().fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(block)).unwrap();
     }
     let per_rank = launcher
         .spawn(JobSpec::new(np), move |ctx| {

@@ -72,8 +72,7 @@ fn main() {
     let registry = launcher.universe().registry();
     let obs = launcher.universe().fabric().obs();
     if no_gc {
-        // Through the cvar registry: behavior-identical to the legacy
-        // `set_gc_enabled(false)` setter it absorbed.
+        // The cvar registry is the only door to the GC switch.
         obs.cvar_write("universe", "registry.gc_enabled", obs::CvarValue::Bool(false))
             .expect("gc_enabled cvar");
     }

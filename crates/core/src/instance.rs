@@ -168,7 +168,7 @@ impl MpiProcess {
             move || r.upgrade().map(|p| obs::CvarValue::U64(p.engine.stall_ticks())),
             obs::u64_writer(move |v| {
                 if let Some(p) = w.upgrade() {
-                    p.engine.set_stall_ticks(v);
+                    p.engine.stall_after.store(v.max(1), std::sync::atomic::Ordering::Relaxed);
                 }
             }),
         );

@@ -204,14 +204,20 @@ mod tests {
                 let g = s.group_from_pset("mpi://world").unwrap();
                 let c = Comm::create_from_group(&g, "introspect").unwrap();
                 coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap();
+                // Rank 0, the broadcast root, leaves the allreduce while the
+                // others may still be taking in its data and handshake ACKs
+                // (which fill their PML caches). A reduce to rank 0 returns
+                // there only once every rank is done with the allreduce.
+                coll::reduce_t(&c, 0, ReduceOp::Sum, &[1u32]).unwrap();
                 // All ranks hold their communicator here: rank 0 snapshots
                 // while the others cannot pass the next collective without
                 // it. Back-to-back snapshots over the same held state must
-                // serialize identically.
-                if ctx.proc().rank() == 0 {
-                    let uni = ctx.universe();
-                    let a = snapshot_string(uni);
-                    let b = snapshot_string(uni);
+                // serialize identically. The checks run after the second
+                // collective, so a failing one cannot strand ranks 1–3 in it.
+                let held = (ctx.proc().rank() == 0)
+                    .then(|| (snapshot_string(ctx.universe()), snapshot_string(ctx.universe())));
+                coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap();
+                if let Some((a, b)) = held {
                     assert_eq!(a, b, "snapshot must be deterministic");
                     let v = serde_json::parse_value(&a).unwrap();
                     let obj = v.as_object().unwrap();
@@ -235,7 +241,6 @@ mod tests {
                         "cvar surface rides along in the snapshot"
                     );
                 }
-                coll::allreduce_t(&c, ReduceOp::Sum, &[1u32]).unwrap();
                 c.free().unwrap();
                 s.finalize().unwrap();
                 me

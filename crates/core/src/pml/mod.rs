@@ -368,14 +368,14 @@ impl Pml {
     }
 
     /// Tune the eager limit (`mpi_eager_limit` info key).
-    pub fn set_eager_limit(&self, bytes: usize) {
+    pub(crate) fn set_eager_limit(&self, bytes: usize) {
         self.eager_limit.store(bytes.max(1), Ordering::Relaxed);
     }
 
     /// Bound the handshake cache to `cap` entries (≥ 1), evicting LRU
-    /// entries immediately if it is already over. Tests and soak harnesses
-    /// shrink this to force eviction churn.
-    pub fn set_handshake_cache_cap(&self, cap: usize) {
+    /// entries immediately if it is already over. Outside this crate the
+    /// `pml.handshake_cache_cap` cvar is the only door.
+    pub(crate) fn set_handshake_cache_cap(&self, cap: usize) {
         self.cache_cap.store(cap.max(1), Ordering::Relaxed);
         let mut st = self.state.lock();
         self.cache_enforce_cap(&mut st);

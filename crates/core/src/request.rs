@@ -847,7 +847,8 @@ pub const DEFAULT_STALL_TICKS: u64 = 64;
 /// wrappers never register, so the watchdog cannot fire on them.
 pub struct ProgressEngine {
     slots: Mutex<Vec<Weak<dyn EngineStep>>>,
-    stall_after: AtomicU64,
+    /// Stall threshold (≥ 1); written by the `core.stall_ticks` cvar.
+    pub(crate) stall_after: AtomicU64,
 }
 
 impl Default for ProgressEngine {
@@ -861,15 +862,10 @@ impl ProgressEngine {
         self.slots.lock().push(s);
     }
 
-    /// Current stall threshold (engine sweeps without progress).
+    /// Current stall threshold (engine sweeps without progress; the
+    /// per-process `core.stall_ticks` cvar).
     pub fn stall_ticks(&self) -> u64 {
         self.stall_after.load(Ordering::Relaxed)
-    }
-
-    /// Tune the stall threshold (clamped to ≥ 1). Exposed as the
-    /// per-process `core.stall_ticks` cvar.
-    pub fn set_stall_ticks(&self, ticks: u64) {
-        self.stall_after.store(ticks.max(1), Ordering::Relaxed);
     }
 
     /// Describe every registered in-flight request (terminal and

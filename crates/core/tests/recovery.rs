@@ -22,24 +22,35 @@ use mpi_sessions::{
 };
 use prrte::{JobSpec, Launcher};
 use simnet::SimTestbed;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn new_session(ctx: &prrte::ProcCtx) -> Session {
     Session::init(ctx, ThreadLevel::Single, ErrHandler::Return, &Info::null()).unwrap()
 }
 
+/// Kill pacing: block until `n` ranks have reported reaching their kill
+/// point on `ready`.
+fn await_ready(ready: &mpsc::Receiver<()>, n: usize) {
+    for _ in 0..n {
+        ready.recv_timeout(Duration::from_secs(30)).expect("rank reached its kill point");
+    }
+}
+
 #[test]
 fn watch_faults_replays_to_late_subscriber_exactly_once() {
     let launcher = Launcher::new(SimTestbed::tiny(1, 3));
-    let handle = launcher.spawn(JobSpec::new(3), |ctx| {
+    let (ready_tx, ready) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(3), move |ctx| {
         if ctx.rank() == 2 {
-            std::thread::sleep(Duration::from_secs(5));
+            // The victim parks until its mailbox disconnects: the kill.
+            while ctx.endpoint().recv().is_ok() {}
             return;
         }
         let session = new_session(&ctx);
         // Early subscriber: sees the death live.
         let mut early = session.watch_faults().unwrap();
+        ready_tx.send(()).unwrap();
         let v = early.next_timeout(Duration::from_secs(10)).expect("live fault");
         assert_eq!(v.rank(), 2);
         assert!(early.try_next().is_none(), "no duplicate on the live path");
@@ -51,7 +62,7 @@ fn watch_faults_replays_to_late_subscriber_exactly_once() {
         assert!(late.try_next().is_none(), "replay is exactly-once");
         session.finalize().unwrap();
     });
-    std::thread::sleep(Duration::from_millis(300));
+    await_ready(&ready, 2);
     handle.kill_rank(2);
     handle.join().unwrap();
 }
@@ -66,13 +77,15 @@ fn dead_remote_member_fails_group_fanin_typed() {
     // With the full-membership scan, each server reaches the verdict at
     // its own first arrival and the construct fails typed, fast.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+    let (ready_tx, ready) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), move |ctx| {
         if ctx.rank() == 3 {
-            std::thread::sleep(Duration::from_secs(5));
+            while ctx.endpoint().recv().is_ok() {}
             return None;
         }
         let session = new_session(&ctx);
         let mut faults = session.watch_faults().unwrap();
+        ready_tx.send(()).unwrap();
         let victim = faults.next_timeout(Duration::from_secs(10)).expect("fault");
         assert_eq!(victim.rank(), 3);
         if ctx.rank() == 2 {
@@ -87,7 +100,7 @@ fn dead_remote_member_fails_group_fanin_typed() {
         session.finalize().unwrap();
         Some(err.class)
     });
-    std::thread::sleep(Duration::from_millis(400));
+    await_ready(&ready, 3);
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     assert_eq!(out[0], Some(ErrClass::ProcFailed), "typed fast failure, not a stall");
@@ -97,7 +110,8 @@ fn dead_remote_member_fails_group_fanin_typed() {
 #[test]
 fn faults_pset_shrinks_and_supports_shrink_and_repair() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
-    let handle = launcher.spawn(JobSpec::new(4), |ctx| {
+    let (ready_tx, ready) = mpsc::channel();
+    let handle = launcher.spawn(JobSpec::new(4), move |ctx| {
         let session = new_session(&ctx);
         let pset = session.track_faults().unwrap();
         assert!(pset.starts_with(pmix::SURVIVORS_PSET_PREFIX));
@@ -109,8 +123,9 @@ fn faults_pset_shrinks_and_supports_shrink_and_repair() {
         let comm = Comm::create_from_group(&world, "pre-fault").unwrap();
         let warm = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(warm, 4);
+        ready_tx.send(()).unwrap();
         if ctx.rank() == 3 {
-            std::thread::sleep(Duration::from_secs(5));
+            while ctx.endpoint().recv().is_ok() {}
             return 0u32;
         }
         let mut faults = session.watch_faults().unwrap();
@@ -148,7 +163,7 @@ fn faults_pset_shrinks_and_supports_shrink_and_repair() {
         session.finalize().unwrap();
         sum + sum2
     });
-    std::thread::sleep(Duration::from_millis(500));
+    await_ready(&ready, 4);
     handle.kill_rank(3);
     let out = handle.join().unwrap();
     for r in &out[..3] {
@@ -166,7 +181,8 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
     // terminal error.
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let spec = JobSpec::new(4).with_pset("app://crew", vec![0, 1, 2, 3]);
-    let handle = launcher.spawn_named("cascade", spec, |ctx| {
+    let (ready_tx, ready) = mpsc::channel();
+    let handle = launcher.spawn_named("cascade", spec, move |ctx| {
         let session = new_session(&ctx);
         let watcher = session.watch_psets().unwrap();
         let budget = Duration::from_secs(10);
@@ -178,8 +194,9 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
         };
         let warm = coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap()[0];
         assert_eq!(warm, 4);
+        ready_tx.send(()).unwrap();
         if ctx.rank() >= 2 {
-            std::thread::sleep(Duration::from_secs(5));
+            while ctx.endpoint().recv().is_ok() {}
             comm.abandon();
             return 0u32;
         }
@@ -205,7 +222,7 @@ fn cascading_rebuild_reenters_to_newer_epoch() {
         session.finalize().unwrap();
         sum
     });
-    std::thread::sleep(Duration::from_millis(600));
+    await_ready(&ready, 4);
     handle.kill_rank(3);
     handle.kill_rank(2);
     let out = handle.join().unwrap();

@@ -38,7 +38,7 @@ pub mod tool;
 pub mod trace;
 
 pub use tool::{
-    bool_writer, register_env_cvars, u64_writer, writer, CvarError, CvarInfo, CvarValue, EnvKnob,
+    register_env_cvars, u64_writer, writer, CvarError, CvarInfo, CvarValue, EnvKnob,
     PvarClass, PvarDesc, PvarHandle, PvarReading, PvarSession, ENV_KNOBS,
 };
 pub use trace::{

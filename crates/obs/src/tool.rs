@@ -17,10 +17,9 @@
 //!   captured at boot;
 //! * reads go through a closure, so a cvar always reports the *live*
 //!   value, not a registration-time copy;
-//! * writable cvars carry a setter closure that delegates to the same
-//!   legacy setter (`set_pgcid_block`, `set_handshake_cache_cap`, …) the
-//!   pre-cvar API exposed — a registry write is behavior-identical to the
-//!   ad-hoc call it absorbs;
+//! * writable cvars carry a writer closure that applies the value to the
+//!   subsystem's own state, clamps included — a registry write is the only
+//!   public way to change a runtime knob;
 //! * every successful write emits a `cvar.changed` event (component
 //!   `"tool"`) carrying the old and new values. Reads emit nothing: the
 //!   introspection surface must stay invisible to the perf fingerprint.
@@ -162,14 +161,13 @@ impl Registry {
     ///
     /// `read` reports the live value (`None` once the knob's subject has
     /// been dropped — the entry is then pruned lazily); `write`, when
-    /// present, applies a new value by delegating to the subsystem's own
-    /// setter. Registration is silent: no event, no metric.
+    /// present, applies a new value to the subsystem's own state.
+    /// Registration is silent: no event, no metric.
     ///
     /// # Examples
     ///
-    /// A read/write round-trip: the writer delegates to the subsystem's
-    /// own setter (here an atomic), so a tool's `cvar_write` and the
-    /// legacy direct setter stay behavior-identical.
+    /// A read/write round-trip: the writer stores into the subsystem's own
+    /// state (here an atomic), which the reader reports live.
     ///
     /// ```
     /// use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,8 +222,8 @@ impl Registry {
     }
 
     /// Write a cvar. On success the new value is applied through the
-    /// registered setter (behavior-identical to the legacy ad-hoc call)
-    /// and a `cvar.changed` event is emitted with the old and new values.
+    /// registered writer and a `cvar.changed` event is emitted with the old
+    /// and new values.
     pub fn cvar_write(&self, scope: &str, name: &str, value: CvarValue) -> Result<(), CvarError> {
         let label = format!("{scope}/{name}");
         let old = {
@@ -290,17 +288,6 @@ pub fn u64_writer(f: impl Fn(u64) + Send + Sync + 'static) -> Option<CvarWriter>
             Ok(())
         }
         None => Err(format!("expected an unsigned integer, got {v}")),
-    })
-}
-
-/// A writer that accepts only `Bool` values and hands the flag on.
-pub fn bool_writer(f: impl Fn(bool) + Send + Sync + 'static) -> Option<CvarWriter> {
-    writer(move |v| match v.as_bool() {
-        Some(b) => {
-            f(b);
-            Ok(())
-        }
-        None => Err(format!("expected a boolean, got {v}")),
     })
 }
 

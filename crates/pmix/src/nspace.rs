@@ -206,7 +206,7 @@ impl Drop for EpochPin {
 /// epoch watermark (minimum pinned epoch across live [`EpochPin`]s):
 /// automatically once more than [`GC_TOMBSTONE_THRESHOLD`] accumulate, or
 /// explicitly via [`NamespaceRegistry::gc_tombstones`]. GC can be disabled
-/// wholesale ([`NamespaceRegistry::set_gc_enabled`]) — the leak the soak
+/// wholesale (the universe's `registry.gc_enabled` cvar) — the leak the soak
 /// harness then observes is exactly what the GC exists to prevent.
 #[derive(Clone, Default)]
 pub struct NamespaceRegistry {
@@ -348,7 +348,8 @@ impl NamespaceRegistry {
     /// Enable or disable tombstone garbage collection (enabled by default).
     /// Disabling is a debug/soak knob: tombstones then accumulate without
     /// bound, which the soak harness surfaces as a leak-freedom failure.
-    pub fn set_gc_enabled(&self, on: bool) {
+    /// Outside this crate the `registry.gc_enabled` cvar is the only door.
+    pub(crate) fn set_gc_enabled(&self, on: bool) {
         self.gc_disabled.store(!on, Ordering::Relaxed);
     }
 

@@ -49,8 +49,8 @@
 //!
 //! A group construct that needs a PGCID used to cost one RM round trip per
 //! construct. The lead server now requests a *block* of
-//! [`DEFAULT_PGCID_BLOCK`] consecutive ids (tunable via
-//! [`PmixServer::set_pgcid_block`]) and parks the surplus in a local pool;
+//! [`DEFAULT_PGCID_BLOCK`] consecutive ids (tunable through the
+//! universe's `pmix.pgcid_block` cvar) and parks the surplus in a local pool;
 //! subsequent constructs led by this server take a pooled id without any
 //! RM traffic — no `pgcid.request` span, one `pgcid_pool_hits` tick. The
 //! RM accounts every id of a block under `pgcid_allocated` at grant time,
@@ -536,8 +536,9 @@ pub struct PmixServer {
     pgcid_ctl: Mutex<PgcidCtl>,
     // Locally pooled PGCIDs (surplus of RM block grants).
     pgcid_pool: Mutex<VecDeque<u64>>,
-    // Block size requested from the RM per miss (>= 1).
-    pgcid_block: AtomicU64,
+    // Block size requested from the RM per miss (>= 1); written by the
+    // universe's `pmix.pgcid_block` cvar.
+    pub(crate) pgcid_block: AtomicU64,
     // Resource-manager service: present only on the universe's lead server.
     rm_next_pgcid: Option<AtomicU64>,
     // Per-RPC processing cost (control-plane software overhead).
@@ -548,8 +549,14 @@ pub struct PmixServer {
 impl PmixServer {
     /// Create a server bound to `endpoint` (whose mailbox must be drained by
     /// [`PmixServer::run_loop`]). `is_rm` marks the lead server hosting the
-    /// resource-manager services.
-    pub fn new(endpoint: &Endpoint, registry: NamespaceRegistry, is_rm: bool) -> Arc<Self> {
+    /// resource-manager services; `rpc_processing` is the per-message RPC
+    /// processing cost (see `simnet::CostModel::rpc_processing`).
+    pub fn new(
+        endpoint: &Endpoint,
+        registry: NamespaceRegistry,
+        is_rm: bool,
+        rpc_processing: Duration,
+    ) -> Arc<Self> {
         registry.register_server(endpoint.node(), endpoint.id());
         Arc::new(Self {
             node: endpoint.node(),
@@ -566,28 +573,15 @@ impl PmixServer {
             pgcid_pool: Mutex::new(VecDeque::new()),
             pgcid_block: AtomicU64::new(DEFAULT_PGCID_BLOCK),
             rm_next_pgcid: is_rm.then(|| AtomicU64::new(1)),
-            rpc_processing: Duration::ZERO,
+            rpc_processing,
             metrics: ServerMetrics::new(endpoint.obs(), endpoint.node()),
         })
     }
 
-    /// Set the per-message RPC processing cost (see
-    /// `simnet::CostModel::rpc_processing`). Call before `run_loop`.
-    pub fn set_rpc_processing(self: &mut Arc<Self>, cost: Duration) {
-        if let Some(me) = Arc::get_mut(self) {
-            me.rpc_processing = cost;
-        }
-    }
-
-    /// Set how many PGCIDs to request from the RM per pool miss. `1`
-    /// reproduces the paper's one-round-trip-per-construct behavior;
-    /// larger values amortize the RM RPC across future constructs led by
-    /// this server. Clamped to at least 1.
-    pub fn set_pgcid_block(&self, block: u64) {
-        self.pgcid_block.store(block.max(1), Ordering::Relaxed);
-    }
-
-    /// Current PGCID block-grant size (see [`PmixServer::set_pgcid_block`]).
+    /// How many PGCIDs this server requests from the RM per pool miss
+    /// (the universe's `pmix.pgcid_block` cvar). `1` reproduces the
+    /// paper's one-round-trip-per-construct behavior; larger values
+    /// amortize the RM RPC across future constructs led by this server.
     pub fn pgcid_block(&self) -> u64 {
         self.pgcid_block.load(Ordering::Relaxed)
     }

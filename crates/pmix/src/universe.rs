@@ -12,6 +12,7 @@ use crate::server::PmixServer;
 use crate::types::ProcId;
 use parking_lot::Mutex;
 use simnet::{Endpoint, EndpointId, Fabric, NodeId, SimTestbed};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -65,8 +66,8 @@ impl PmixUniverse {
         let head = NodeId(u32::MAX);
         {
             let endpoint = fabric.register(head);
-            let mut rm = PmixServer::new(&endpoint, registry.clone(), true);
-            rm.set_rpc_processing(testbed.cost.rpc_processing);
+            let rm =
+                PmixServer::new(&endpoint, registry.clone(), true, testbed.cost.rpc_processing);
             registry.register_rm(endpoint.id());
             server_eps.push(endpoint.id());
             let srv = rm.clone();
@@ -81,9 +82,8 @@ impl PmixUniverse {
 
         for node in testbed.cluster.node_ids() {
             let endpoint = fabric.register(node);
-            let is_rm = false;
-            let mut server = PmixServer::new(&endpoint, registry.clone(), is_rm);
-            server.set_rpc_processing(testbed.cost.rpc_processing);
+            let server =
+                PmixServer::new(&endpoint, registry.clone(), false, testbed.cost.rpc_processing);
             server_eps.push(endpoint.id());
             let srv = server.clone();
             threads.push(
@@ -189,114 +189,94 @@ impl PmixUniverse {
     /// fabric's obs registry, owned by this universe) never keeps the
     /// universe alive; entries prune themselves after teardown.
     fn register_cvars(self: &Arc<Self>) {
+        use obs::CvarValue::{Bool, Str, U64};
+        // A writer applies the value (and its clamp) or names the type it
+        // expected.
+        type Read = fn(&PmixUniverse) -> obs::CvarValue;
+        type Write = fn(&PmixUniverse, &obs::CvarValue) -> std::result::Result<(), &'static str>;
+        const UINT: &str = "an unsigned integer";
         let obs = self.fabric.obs();
         obs::register_env_cvars(&obs);
-        let w = Arc::downgrade(self);
-        let (r, wr) = (w.clone(), w.clone());
-        obs.cvar_register(
-            "universe",
-            "pmix.pgcid_block",
-            "PGCIDs granted per RM round trip; writes fan to every server \
-             (legacy setter: PmixUniverse::set_pgcid_block)",
-            move || r.upgrade().map(|u| obs::CvarValue::U64(u.servers[0].pgcid_block())),
-            obs::u64_writer(move |v| {
-                if let Some(u) = wr.upgrade() {
-                    u.set_pgcid_block(v);
-                }
-            }),
-        );
-        let (r, wr) = (w.clone(), w.clone());
-        obs.cvar_register(
-            "universe",
-            "registry.gc_enabled",
-            "tombstone GC in the pset registry \
-             (legacy setter: NamespaceRegistry::set_gc_enabled)",
-            move || r.upgrade().map(|u| obs::CvarValue::Bool(u.registry.gc_enabled())),
-            obs::bool_writer(move |v| {
-                if let Some(u) = wr.upgrade() {
-                    u.registry.set_gc_enabled(v);
-                }
-            }),
-        );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "pmix.server_shards",
-            "key-hashed shards per server's ops and KVS tables (compile-time)",
-            move || r.upgrade().map(|_| obs::CvarValue::U64(crate::server::SERVER_SHARDS as u64)),
-            None,
-        );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "pmix.epoch_retention_cap",
-            "retained collective epoch counters per ops shard (compile-time)",
-            move || {
-                r.upgrade().map(|_| obs::CvarValue::U64(crate::server::EPOCH_RETENTION_CAP as u64))
-            },
-            None,
-        );
-        let r = w.clone();
-        obs.cvar_register(
-            "universe",
-            "registry.gc_tombstone_threshold",
-            "tombstone count that triggers a registry GC pass (compile-time)",
-            move || {
-                r.upgrade()
-                    .map(|_| obs::CvarValue::U64(crate::nspace::GC_TOMBSTONE_THRESHOLD as u64))
-            },
-            None,
-        );
-        let (r, wr) = (w.clone(), w.clone());
-        obs.cvar_register(
-            "universe",
-            "pmix.group_timeout_ms",
-            "deadline (ms) the MPI layer pins on group-construct fan-ins — comm \
-             creation, shrink/repair, elastic rebuild \
-             (legacy setter: PmixUniverse::set_group_timeout)",
-            move || {
-                r.upgrade().map(|u| {
-                    obs::CvarValue::U64(
-                        u.group_timeout_ms.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                })
-            },
-            obs::u64_writer(move |v| {
-                if let Some(u) = wr.upgrade() {
-                    u.group_timeout_ms.store(v.max(1), std::sync::atomic::Ordering::Relaxed);
-                }
-            }),
-        );
-        let (r, wr) = (w.clone(), w.clone());
-        obs.cvar_register(
-            "universe",
-            "pmix.init_mode",
-            "default session-init mode: eager (fence-collected business cards) or \
-             lazy (fence-free, peers resolved on first send); the per-session \
-             init_mode info key overrides",
-            move || {
-                r.upgrade().map(|u| {
-                    obs::CvarValue::Str(
-                        if u.lazy_init_default() { "lazy" } else { "eager" }.into(),
-                    )
-                })
-            },
-            obs::writer(move |v| match v.as_str() {
-                Some("lazy") => {
-                    if let Some(u) = wr.upgrade() {
-                        u.set_lazy_init_default(true);
-                    }
+        let knobs: [(&str, &'static str, Read, Option<Write>); 7] = [
+            (
+                "pmix.pgcid_block",
+                "PGCIDs granted per RM round trip; writes fan to every server",
+                |u| U64(u.servers[0].pgcid_block()),
+                Some(|u, v| {
+                    let block = v.as_u64().ok_or(UINT)?.max(1);
+                    u.servers.iter().for_each(|s| s.pgcid_block.store(block, Ordering::Relaxed));
                     Ok(())
-                }
-                Some("eager") => {
-                    if let Some(u) = wr.upgrade() {
-                        u.set_lazy_init_default(false);
-                    }
+                }),
+            ),
+            (
+                "registry.gc_enabled",
+                "tombstone GC in the pset registry",
+                |u| Bool(u.registry.gc_enabled()),
+                Some(|u, v| {
+                    u.registry.set_gc_enabled(v.as_bool().ok_or("a boolean")?);
                     Ok(())
-                }
-                _ => Err(format!("expected \"eager\" or \"lazy\", got {v}")),
-            }),
-        );
+                }),
+            ),
+            (
+                "pmix.server_shards",
+                "key-hashed shards per server's ops and KVS tables (compile-time)",
+                |_| U64(crate::server::SERVER_SHARDS as u64),
+                None,
+            ),
+            (
+                "pmix.epoch_retention_cap",
+                "retained collective epoch counters per ops shard (compile-time)",
+                |_| U64(crate::server::EPOCH_RETENTION_CAP as u64),
+                None,
+            ),
+            (
+                "registry.gc_tombstone_threshold",
+                "tombstone count that triggers a registry GC pass (compile-time)",
+                |_| U64(crate::nspace::GC_TOMBSTONE_THRESHOLD as u64),
+                None,
+            ),
+            (
+                "pmix.group_timeout_ms",
+                "deadline (ms) the MPI layer pins on group-construct fan-ins — comm \
+                 creation, shrink/repair, elastic rebuild",
+                |u| U64(u.group_timeout_ms.load(Ordering::Relaxed)),
+                Some(|u, v| {
+                    u.group_timeout_ms.store(v.as_u64().ok_or(UINT)?.max(1), Ordering::Relaxed);
+                    Ok(())
+                }),
+            ),
+            (
+                "pmix.init_mode",
+                "default session-init mode: eager (fence-collected business cards) or \
+                 lazy (fence-free, peers resolved on first send); the per-session \
+                 init_mode info key overrides",
+                |u| Str(if u.lazy_init_default() { "lazy" } else { "eager" }.into()),
+                Some(|u, v| {
+                    let lazy = match v.as_str() {
+                        Some("lazy") => true,
+                        Some("eager") => false,
+                        _ => return Err("\"eager\" or \"lazy\""),
+                    };
+                    u.lazy_init_default.store(lazy, Ordering::Relaxed);
+                    Ok(())
+                }),
+            ),
+        ];
+        for (name, description, read, write) in knobs {
+            let (r, w) = (Arc::downgrade(self), Arc::downgrade(self));
+            obs.cvar_register(
+                "universe",
+                name,
+                description,
+                move || r.upgrade().map(|u| read(&u)),
+                write.and_then(|f| {
+                    obs::writer(move |v| match w.upgrade() {
+                        Some(u) => f(&u, v).map_err(|want| format!("expected {want}, got {v}")),
+                        None => Ok(()),
+                    })
+                }),
+            );
+        }
     }
 
     /// Whether sessions default to lazy (fence-free) init. Seeded from the
@@ -307,12 +287,6 @@ impl PmixUniverse {
         self.lazy_init_default.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Set the default session-init mode (see
-    /// [`PmixUniverse::lazy_init_default`]).
-    pub fn set_lazy_init_default(&self, lazy: bool) {
-        self.lazy_init_default.store(lazy, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// The deadline the MPI layer pins on every group-construct fan-in
     /// (comm creation, shrink/repair, elastic rebuild). Runtime-writable
     /// through the `pmix.group_timeout_ms` cvar, so fault drills can trade
@@ -321,12 +295,6 @@ impl PmixUniverse {
         std::time::Duration::from_millis(
             self.group_timeout_ms.load(std::sync::atomic::Ordering::Relaxed),
         )
-    }
-
-    /// Set the group-construct deadline (see [`PmixUniverse::group_timeout`]).
-    pub fn set_group_timeout(&self, timeout: std::time::Duration) {
-        self.group_timeout_ms
-            .store((timeout.as_millis() as u64).max(1), std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Purge a gracefully-retired process's business cards from every
@@ -374,15 +342,6 @@ impl PmixUniverse {
             .find(|s| s.node() == node)
             .cloned()
             .ok_or_else(|| PmixError::NotFound(format!("server for {node}")))
-    }
-
-    /// Set the PGCID block size every server requests from the resource
-    /// manager on a pool miss (ablation/bench knob; `1` restores the
-    /// unbatched one-request-per-construct behavior).
-    pub fn set_pgcid_block(&self, block: u64) {
-        for s in &self.servers {
-            s.set_pgcid_block(block);
-        }
     }
 
     /// Register a process endpoint for a namespace and return its entry.
@@ -786,7 +745,8 @@ mod tests {
         let uni = PmixUniverse::new(SimTestbed::tiny(2, 1));
         // Paper-prototype mode: one id per RM grant, so every construct
         // that cannot coalesce pays its own round trip.
-        uni.set_pgcid_block(1);
+        let obs = uni.fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", obs::CvarValue::U64(1)).unwrap();
         let procs = spawn_procs(&uni, "job", 2);
         let members: Vec<ProcId> = procs.iter().map(|(p, _)| p.clone()).collect();
         let m2 = members.clone();

@@ -13,6 +13,7 @@ use mpi_sessions_repro::mpi::cid::ExCid;
 use mpi_sessions_repro::mpi::instance::MpiProcess;
 use mpi_sessions_repro::mpi::request::{ReqInner, Request};
 use mpi_sessions_repro::mpi::{Comm, ErrHandler, Info, Session, SetupRequest, ThreadLevel};
+use mpi_sessions_repro::obs::CvarValue;
 use mpi_sessions_repro::prrte::{JobSpec, Launcher};
 use mpi_sessions_repro::simnet::SimTestbed;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -260,7 +261,8 @@ fn concurrent_icomms_coalesce_pgcid_round_trips() {
 
     let run = |nonblocking: bool| -> (usize, Vec<Vec<ExCid>>) {
         let launcher = Launcher::new(SimTestbed::tiny(2, 1));
-        launcher.universe().set_pgcid_block(1);
+        let obs = launcher.universe().fabric().obs();
+        obs.cvar_write("universe", "pmix.pgcid_block", CvarValue::U64(1)).unwrap();
         let excids = launcher
             .spawn(JobSpec::new(2), move |ctx| {
                 let (s, g) = world_base(&ctx);

@@ -1,12 +1,12 @@
 //! Watchdog lifecycle suite: the MPI_T-style introspection layer's stall
 //! detector, its timeout surface, and the cvar control plane.
 //!
-//! Four claims, each a separate world:
+//! Five claims, each a separate world:
 //!
 //! 1. A nonblocking construct whose peers have not yet joined *stalls
 //!    deterministically* once the per-process `core.stall_ticks` threshold
 //!    of profitless engine sweeps is crossed (threshold lowered through
-//!    the cvar registry, not the legacy setter), and *clears* with a
+//!    the cvar registry), and *clears* with a
 //!    matching `req.unstalled` the moment the peers arrive — so the
 //!    `stall-terminal` invariant audits a full stall/heal episode.
 //! 2. `SetupRequest::wait_timeout` gives up on logical-deadline expiry
@@ -16,12 +16,14 @@
 //! 3. The quiet blocking wrappers never register with the progress
 //!    engine, so even a pathological 1-tick threshold produces zero
 //!    `req.stalled` events on an all-blocking workload.
-//! 4. Cvar writes are behavior-identical to the legacy setters they
-//!    absorbed: registry writes and direct setter calls land on the same
-//!    underlying state, in both directions, at universe and process
-//!    scope.
+//! 4. Every writable cvar round-trips: a registry write lands on the
+//!    typed accessor the subsystem reads and reads back through
+//!    `cvar_read`, at universe and process scope, with the knobs' floors
+//!    applied.
+//! 5. A wait whose only completer is dead fails fast with
+//!    [`ErrClass::ProcFailed`] instead of burning its deadline.
 //!
-//! Runs 1–3 go through [`ChaosWorld`] so every episode is additionally
+//! Runs 1–3 and 5 go through [`ChaosWorld`] so every episode is additionally
 //! checked by the cross-layer invariant sweep (including
 //! `stall-terminal`).
 
@@ -78,8 +80,8 @@ fn stall_fires_under_pinned_delay_and_clears_on_heal() {
                 let obs = process.obs();
                 let scope = process.proc().to_string();
                 // Lower the watchdog threshold through the MPI_T surface —
-                // the whole point is that no code change or legacy setter
-                // call is needed to retune a live process.
+                // the whole point is that no code change is needed to
+                // retune a live process.
                 obs.cvar_write(&scope, "core.stall_ticks", CvarValue::U64(3)).unwrap();
                 let req = Comm::icomm_create_from_group(&group, "wd-stall").unwrap();
                 // The peers are parked at `gate`, so the construct cannot
@@ -210,71 +212,93 @@ fn quiet_blocking_paths_never_trip_the_watchdog() {
     world.finish(None, cid).assert_clean();
 }
 
-/// Claim 4 (the cvar round-trip): registry writes and legacy setters are
-/// two doors to the same state. Writing through one must be observable
-/// through the other, at both universe and per-process scope.
+/// Claim 4 (the cvar round trip): each writable cvar is the one door to
+/// its knob. A write lands on the typed accessor the subsystem reads — on
+/// every server for the PGCID block, on every rank for the per-process
+/// knobs — reads back identically through `cvar_read`, and a `0` clamps
+/// to `1` on the knobs that have a floor.
 #[test]
-fn cvar_writes_are_behavior_identical_to_legacy_setters() {
+fn cvar_writes_round_trip_to_the_typed_accessors() {
     let launcher = Launcher::new(SimTestbed::tiny(2, 2));
     let uni = launcher.universe().clone();
-    let obs = uni.fabric().obs().clone();
 
-    // Universe scope, cvar -> accessor direction.
-    obs.cvar_write("universe", "pmix.pgcid_block", CvarValue::U64(5)).unwrap();
-    assert!(
-        uni.servers().iter().all(|s| s.pgcid_block() == 5),
-        "cvar write must reach every server exactly like set_pgcid_block"
-    );
-    obs.cvar_write("universe", "registry.gc_enabled", CvarValue::Bool(false)).unwrap();
-    assert!(!uni.registry().gc_enabled());
-
-    // Universe scope, legacy-setter -> cvar direction (the readers are
-    // live closures over the real state, not shadow copies).
-    uni.set_pgcid_block(9);
-    assert_eq!(obs.cvar_read("universe", "pmix.pgcid_block"), Some(CvarValue::U64(9)));
-    uni.registry().set_gc_enabled(true);
-    assert_eq!(obs.cvar_read("universe", "registry.gc_enabled"), Some(CvarValue::Bool(true)));
-
-    // Per-process scope: rank 0 configures itself through the registry,
-    // rank 1 uses the legacy setters; both must land on identical state
-    // and both must read back identically through the cvar surface.
+    // Per-process scope first (the universe writes below leave a 1 ms
+    // group deadline): every rank warms its handshake cache, then sets
+    // both knobs through the registry. Shrinking the cache cap evicts at
+    // once, not on the next insert.
     let out = launcher
-        .spawn(JobSpec::new(2), |ctx| {
+        .spawn(JobSpec::new(4), |ctx| {
+            let session = new_session(&ctx);
+            let group = session.group_from_pset("mpi://world").unwrap();
+            let comm = Comm::create_from_group(&group, "wd-cvars").unwrap();
+            coll::allreduce_t(&comm, ReduceOp::Sum, &[1u32]).unwrap();
             let p = MpiProcess::obtain(&ctx);
             let scope = p.proc().to_string();
             let obs = p.obs();
-            if ctx.rank() == 0 {
-                obs.cvar_write(&scope, "pml.handshake_cache_cap", CvarValue::U64(3)).unwrap();
-                obs.cvar_write(&scope, "core.stall_ticks", CvarValue::U64(17)).unwrap();
-            } else {
-                p.pml().set_handshake_cache_cap(3);
-                p.progress_engine().set_stall_ticks(17);
+            let warm = p.pml().handshake_cache_len();
+            let mut seen = Vec::new();
+            for (cap, ticks) in [(3, 17), (0, 0)] {
+                obs.cvar_write(&scope, "pml.handshake_cache_cap", CvarValue::U64(cap)).unwrap();
+                obs.cvar_write(&scope, "core.stall_ticks", CvarValue::U64(ticks)).unwrap();
+                seen.push((
+                    p.pml().handshake_cache_cap(),
+                    p.progress_engine().stall_ticks(),
+                    obs.cvar_read(&scope, "pml.handshake_cache_cap"),
+                    obs.cvar_read(&scope, "core.stall_ticks"),
+                ));
             }
-            (
-                p.pml().handshake_cache_cap(),
-                p.progress_engine().stall_ticks(),
-                obs.cvar_read(&scope, "pml.handshake_cache_cap"),
-                obs.cvar_read(&scope, "core.stall_ticks"),
-            )
+            let evicted_to = p.pml().handshake_cache_len();
+            comm.free().unwrap();
+            session.finalize().unwrap();
+            (warm, evicted_to, seen)
         })
         .join()
         .unwrap();
-    assert_eq!(out[0], out[1], "cvar writes and legacy setters must be indistinguishable");
-    assert_eq!(out[0].0, 3);
-    assert_eq!(out[0].1, 17);
-    assert_eq!(out[0].2, Some(CvarValue::U64(3)));
-    assert_eq!(out[0].3, Some(CvarValue::U64(17)));
+    assert!(out.iter().any(|o| o.0 >= 2), "some rank caches two peers, so a cap of 1 evicts");
+    for (_, evicted_to, seen) in out {
+        assert_eq!(evicted_to, 1, "a shrunk cap evicts down to the new bound at once");
+        let u = |v| Some(CvarValue::U64(v));
+        assert_eq!(seen, vec![(3, 17, u(3), u(17)), (1, 1, u(1), u(1))]);
+    }
+
+    // Universe scope.
+    let obs = uni.fabric().obs().clone();
+    let write = |name: &str, v: CvarValue| obs.cvar_write("universe", name, v).unwrap();
+    let read = |name: &str| obs.cvar_read("universe", name).unwrap();
+    for (block, want) in [(5, 5), (0, 1)] {
+        write("pmix.pgcid_block", CvarValue::U64(block));
+        assert!(uni.servers().iter().all(|s| s.pgcid_block() == want), "fans to every server");
+        assert_eq!(read("pmix.pgcid_block"), CvarValue::U64(want));
+    }
+    for (ms, want) in [(1500, 1500), (0, 1)] {
+        write("pmix.group_timeout_ms", CvarValue::U64(ms));
+        assert_eq!(uni.group_timeout(), Duration::from_millis(want));
+        assert_eq!(read("pmix.group_timeout_ms"), CvarValue::U64(want));
+    }
+    for on in [false, true] {
+        write("registry.gc_enabled", CvarValue::Bool(on));
+        assert_eq!(uni.registry().gc_enabled(), on);
+        assert_eq!(read("registry.gc_enabled"), CvarValue::Bool(on));
+    }
+    for (mode, lazy) in [("lazy", true), ("eager", false)] {
+        write("pmix.init_mode", CvarValue::Str(mode.into()));
+        assert_eq!(uni.lazy_init_default(), lazy);
+        assert_eq!(read("pmix.init_mode"), CvarValue::Str(mode.into()));
+    }
+    assert!(obs.cvar_write("universe", "pmix.init_mode", CvarValue::Str("x".into())).is_err());
+    assert!(!uni.lazy_init_default(), "a rejected write changes nothing");
 }
 
 /// Claim 5 (the dead-peer fast path): a request whose only possible
-/// completer is a dead process must fail `ProcFailed` as soon as the
-/// fabric is quiet — not burn the caller's whole logical-deadline budget
-/// and come back with a useless `Timeout`. This is a fails-pre-fix
-/// regression: before requests tracked their `waiting_on` endpoint,
-/// `wait_timeout` had no way to tell "peers are slow" from "the peer can
-/// never answer", and a 30-second budget below really took 30 seconds.
+/// completer is a dead process must fail `ProcFailed`, the one
+/// dead-peer class, as soon as the fabric is quiet — not burn the
+/// caller's whole logical-deadline budget and come back with a useless
+/// `Timeout`. This is a fails-pre-fix regression: before requests tracked
+/// their `waiting_on` endpoint, `wait_timeout` had no way to tell "peers
+/// are slow" from "the peer can never answer", and a 30-second budget
+/// below really took 30 seconds.
 #[test]
-fn wait_on_dead_peer_fails_proc_terminated_fast() {
+fn wait_on_dead_peer_fails_proc_failed_fast() {
     let world = ChaosWorld::new(SimTestbed::tiny(1, 3), FaultPlan::quiet(0xDEADBEE));
     let nspace = "watchdog-dead";
     let handle = world.launcher().spawn_named(nspace, JobSpec::new(3), |ctx| {
