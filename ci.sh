@@ -8,6 +8,13 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+# Benchmark build: perfbench is a workspace of its own that builds against
+# crates/ by path, so a crates/ API change can break it while the
+# workspace build above stays green.
+echo "== cargo build --release (perfbench) =="
+CARGO_TARGET_DIR=target/perfbench \
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --offline --workspace
 

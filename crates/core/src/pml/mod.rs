@@ -649,7 +649,11 @@ impl Pml {
             lz.probes.clear();
             out
         };
+        let resolver = self.resolver.lock().take();
         for (peer, entry) in drained {
+            if let Some(r) = &resolver {
+                r.cancel(entry.fetch);
+            }
             entry.span.end();
             self.lazy_resolve_event(&peer, "end", Some("failed"));
             for qs in entry.queued {
@@ -659,7 +663,6 @@ impl Pml {
                 ));
             }
         }
-        *self.resolver.lock() = None;
     }
 
     // ------------------------------------------------------------------
@@ -874,9 +877,12 @@ impl Pml {
     // Lazy (fence-free) peer resolution
     // ------------------------------------------------------------------
 
-    /// Install the process's lazy peer resolver. Called once on the lazy
-    /// session-init path; eager-only processes never have one.
-    pub fn install_resolver(&self, resolver: Arc<pmix::PeerResolver>) {
+    /// Install the process's lazy peer resolver over `pmix`. Called once on
+    /// the lazy session-init path; eager-only processes never have one.
+    /// The resolver's fetches carry this mailbox's waker, so a completing
+    /// fetch ends the blocked receive in [`Pml::progress`] at once.
+    pub fn install_resolver(&self, pmix: &pmix::PmixClient) {
+        let resolver = pmix::PeerResolver::new(pmix, self.endpoint.waker());
         *self.resolver.lock() = Some(resolver);
     }
 
@@ -1093,8 +1099,9 @@ impl Pml {
     // ------------------------------------------------------------------
 
     /// Drain the mailbox. With `block`, waits up to that long for the first
-    /// message if none is immediately available. Returns whether anything
-    /// was processed.
+    /// message if none is immediately available; a completing lazy
+    /// resolution ends the wait early through the endpoint's waker.
+    /// Returns whether anything was processed.
     pub fn progress(&self, block: Option<Duration>) -> bool {
         let mut did = false;
         loop {
@@ -1107,6 +1114,9 @@ impl Pml {
                 Err(_) => return did | self.progress_lazy(), // endpoint killed
             }
         }
+        // Poll before blocking: the drain above may have absorbed the wake
+        // of a resolution that completed since the last poll.
+        did |= self.progress_lazy();
         if !did {
             if let Some(t) = block {
                 if let Ok(env) = self.endpoint.recv_timeout(t) {
@@ -1117,9 +1127,10 @@ impl Pml {
                         self.handle_bytes(env.src, env.payload, env.ctx);
                     }
                 }
+                did |= self.progress_lazy();
             }
         }
-        did | self.progress_lazy()
+        did
     }
 
     fn handle_bytes(&self, src_ep: EndpointId, payload: Bytes, ctx: Option<obs::TraceContext>) {

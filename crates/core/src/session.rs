@@ -156,7 +156,7 @@ impl Session {
                             pmix::PmixValue::U64(process.pml().endpoint_id().0),
                         );
                         pmix.commit();
-                        process.pml().install_resolver(pmix::PeerResolver::new(pmix));
+                        process.pml().install_resolver(pmix);
                         pub_span.add_work(1);
                         pub_span.end();
                         obs.counter(&p, "session", "lazy_inits").inc();

@@ -10,14 +10,19 @@
 //!   results ("trace equivalence" at the application boundary);
 //! * a retired rank's business card is purged from every server shard, so
 //!   a later lazy resolve fails with a typed error instead of handing out
-//!   a stale endpoint.
+//!   a stale endpoint;
+//! * the end of an on-demand fetch (reply, late publish, peer death) wakes
+//!   the rank blocked in `progress` at once.
 
 use mpi_sessions::info::keys;
+use mpi_sessions::instance::MpiProcess;
+use mpi_sessions::pml::{Pml, ResolveStatus};
 use mpi_sessions::session::PSET_WORLD;
 use mpi_sessions::{coll, CidOrigin, Comm, ErrHandler, Info, ReduceOp, Session, ThreadLevel};
 use prrte::{JobSpec, Launcher, ProcCtx};
 use simnet::SimTestbed;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn lazy_info() -> Info {
     let info = Info::new();
@@ -342,4 +347,166 @@ fn killed_peer_card_is_evicted_from_resolver_cache() {
     handle.kill_rank(1);
     let out = handle.join().unwrap();
     assert!(out[0].is_some());
+}
+
+/// Block in `progress` with a 5 s limit until the resolution of `peer`
+/// leaves `InFlight`, and return how long that took. Each fetch ends with
+/// a wake of the blocked receive, so a working stack returns in far less
+/// than the limit. The loop only covers a peer message that ends a call
+/// just before this rank's own wake; it gives up after 2 s.
+fn progress_until_terminal(pml: &Pml, peer: &pmix::ProcId) -> Duration {
+    let t0 = Instant::now();
+    loop {
+        pml.progress(Some(Duration::from_secs(5)));
+        let done = pml.resolve_status(peer) != ResolveStatus::InFlight;
+        if done || t0.elapsed() > Duration::from_secs(2) {
+            return t0.elapsed();
+        }
+    }
+}
+
+#[test]
+fn dmodex_reply_wakes_both_blocked_ranks() {
+    // Regression test: the dmodex reply lands in the local PMIx server, not
+    // in the rank's mailbox. Unless the reply wakes the rank, each rank
+    // sleeps out its whole `progress` block (the full 5 s here). The
+    // inter-node latency makes every reply land after its rank has blocked.
+    let mut testbed = SimTestbed::tiny(2, 1);
+    testbed.cost.inter_node_latency = Duration::from_millis(20);
+    let launcher = Launcher::new(testbed);
+    let published = Arc::new(Barrier::new(2));
+    let out = launcher
+        .spawn(JobSpec::new(2), move |ctx| {
+            let session = lazy_session(&ctx);
+            let group = session.group_from_pset(PSET_WORLD).unwrap();
+            let comm = Comm::create_from_group(&group, "wake-remote").unwrap();
+            let other = 1 - ctx.rank();
+            let peer = pmix::ProcId::new(ctx.proc().nspace(), other);
+            let pml = MpiProcess::obtain(&ctx).pml().clone();
+            // Both cards are published before either fetch begins.
+            published.wait();
+            let send = comm.isend(other, 1, b"first").unwrap();
+            assert_eq!(pml.resolve_status(&peer), ResolveStatus::InFlight);
+            let waited = progress_until_terminal(&pml, &peer);
+            let status = pml.resolve_status(&peer);
+            send.wait().unwrap();
+            let (got, _) = comm.recv(other as i32, 1).unwrap();
+            assert_eq!(got, b"first");
+            coll::barrier(&comm).unwrap();
+            comm.free().unwrap();
+            session.finalize().unwrap();
+            (waited, status)
+        })
+        .join()
+        .expect("wake job");
+    for (waited, status) in out {
+        assert_eq!(status, ResolveStatus::Resolved);
+        assert!(waited < Duration::from_secs(2), "rank slept {waited:?} in progress");
+    }
+}
+
+/// On-node owner that publishes only after rank 0's fetch began: the
+/// ticket waits for the owner's commit, and the commit must end rank 0's
+/// blocked `progress`. With `publish_first`, the commit (and its wake)
+/// lands before rank 0 calls `progress` at all, so the wake sits in the
+/// mailbox and `progress` must not block past it.
+fn late_local_publish(publish_first: bool) -> (Duration, ResolveStatus) {
+    let launcher = Launcher::new(SimTestbed::tiny(1, 2));
+    let fetch_begun = Arc::new(Barrier::new(2));
+    let published = Arc::new(Barrier::new(2));
+    let out = launcher
+        .spawn(JobSpec::new(2), move |ctx| {
+            if ctx.rank() == 1 {
+                fetch_begun.wait();
+                if !publish_first {
+                    // Either order must pass; the pause makes "rank 0 is
+                    // already blocked when the card lands" the likely one.
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                let session = lazy_session(&ctx);
+                if publish_first {
+                    published.wait();
+                }
+                let group = session.group_from_pset(PSET_WORLD).unwrap();
+                let comm = Comm::create_from_group(&group, "wake-local").unwrap();
+                comm.recv(0, 1).unwrap();
+                coll::barrier(&comm).unwrap();
+                comm.free().unwrap();
+                session.finalize().unwrap();
+                return None;
+            }
+            let session = lazy_session(&ctx);
+            let group = session.group_from_pset(PSET_WORLD).unwrap();
+            let comm = Comm::create_from_group(&group, "wake-local").unwrap();
+            let peer = pmix::ProcId::new(ctx.proc().nspace(), 1);
+            let pml = MpiProcess::obtain(&ctx).pml().clone();
+            let send = comm.isend(1, 1, b"late").unwrap();
+            assert_eq!(pml.resolve_status(&peer), ResolveStatus::InFlight);
+            fetch_begun.wait();
+            if publish_first {
+                published.wait();
+            }
+            let waited = progress_until_terminal(&pml, &peer);
+            let status = pml.resolve_status(&peer);
+            send.wait().unwrap();
+            coll::barrier(&comm).unwrap();
+            comm.free().unwrap();
+            session.finalize().unwrap();
+            Some((waited, status))
+        })
+        .join()
+        .expect("late-publish job");
+    out[0].clone().expect("rank 0 reports")
+}
+
+#[test]
+fn late_local_publish_wakes_the_blocked_rank() {
+    for publish_first in [false, true] {
+        let (waited, status) = late_local_publish(publish_first);
+        assert_eq!(status, ResolveStatus::Resolved, "publish_first={publish_first}");
+        assert!(
+            waited < Duration::from_secs(2),
+            "publish_first={publish_first}: rank slept {waited:?} in progress"
+        );
+    }
+}
+
+#[test]
+fn peer_death_mid_fetch_wakes_the_blocked_rank_typed() {
+    // The owner dies before it ever publishes: the failure verdict must
+    // reach the blocked rank as a typed `ProcFailed`, without waiting out
+    // the block.
+    let launcher = Launcher::new(SimTestbed::tiny(1, 2));
+    let fetch_begun = Arc::new(Barrier::new(2));
+    let begun = fetch_begun.clone();
+    let handle = launcher.spawn(JobSpec::new(2), move |ctx| {
+        if ctx.rank() == 1 {
+            // The victim parks until its mailbox disconnects: the kill.
+            while ctx.endpoint().recv().is_ok() {}
+            return None;
+        }
+        let session = lazy_session(&ctx);
+        let group = session.group_from_pset(PSET_WORLD).unwrap();
+        let comm = Comm::create_from_group(&group, "wake-dead").unwrap();
+        let peer = pmix::ProcId::new(ctx.proc().nspace(), 1);
+        let pml = MpiProcess::obtain(&ctx).pml().clone();
+        let send = comm.isend(1, 1, b"to-the-dead").unwrap();
+        assert_eq!(pml.resolve_status(&peer), ResolveStatus::InFlight);
+        begun.wait();
+        let waited = progress_until_terminal(&pml, &peer);
+        let status = pml.resolve_status(&peer);
+        let err = send.wait().unwrap_err();
+        session.finalize().unwrap();
+        Some((waited, status, err.class))
+    });
+    fetch_begun.wait();
+    handle.kill_rank(1);
+    let out = handle.join().unwrap();
+    let (waited, status, class) = out[0].clone().expect("rank 0 reports");
+    match status {
+        ResolveStatus::Failed(e) => assert_eq!(e.class, mpi_sessions::ErrClass::ProcFailed),
+        other => panic!("resolution must fail typed, got {other:?}"),
+    }
+    assert_eq!(class, mpi_sessions::ErrClass::ProcFailed);
+    assert!(waited < Duration::from_secs(2), "rank slept {waited:?} in progress");
 }

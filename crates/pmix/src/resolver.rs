@@ -9,7 +9,8 @@
 //! trips; a miss costs at most one dmodex round trip to the owner's
 //! server, after which the endpoint is cached for the life of the process
 //! (or until [`PeerResolver::invalidate`] evicts it on peer death or
-//! retirement).
+//! retirement). Every fetch carries the resolving process's endpoint
+//! waker, so the fetch's completion wakes the process's blocked receive.
 //!
 //! Counters (`pmix.lazy_gets`, `pmix.get_cache_hits`) and the
 //! `pmix.peer_cache_entries` occupancy gauge are registered per resolving
@@ -22,10 +23,9 @@ use crate::server::{FetchTicket, PmixServer};
 use crate::types::ProcId;
 use crate::value::{keys, PmixValue};
 use parking_lot::Mutex;
-use simnet::EndpointId;
+use simnet::{EndpointId, Waker};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-process cache of peer fabric endpoints, filled on demand from the
 /// server KVS. Created once per process on the lazy session-init path
@@ -33,6 +33,7 @@ use std::time::Duration;
 pub struct PeerResolver {
     proc: ProcId,
     server: Arc<PmixServer>,
+    waker: Waker,
     cache: Mutex<HashMap<ProcId, EndpointId>>,
     lazy_gets: obs::Counter,
     cache_hits: obs::Counter,
@@ -55,7 +56,9 @@ impl PeerFetch {
 
 impl PeerResolver {
     /// Build a resolver for `client`'s process over its local server.
-    pub fn new(client: &PmixClient) -> Arc<PeerResolver> {
+    /// `waker` wakes the receive the process blocks in while a fetch is
+    /// pending (the PML endpoint's, on the lazy session-init path).
+    pub fn new(client: &PmixClient, waker: Waker) -> Arc<PeerResolver> {
         let server = client.server().clone();
         let obs = server.obs();
         let proc = client.proc().clone();
@@ -66,6 +69,7 @@ impl PeerResolver {
             occupancy: obs.gauge(&scope, "pmix", "peer_cache_entries"),
             proc,
             server,
+            waker,
             cache: Mutex::new(HashMap::new()),
         })
     }
@@ -99,7 +103,7 @@ impl PeerResolver {
     /// (`ProcTerminated`).
     pub fn begin(&self, peer: &ProcId) -> Result<PeerFetch> {
         self.lazy_gets.inc();
-        let ticket = self.server.fetch_begin(peer, keys::ENDPOINT)?;
+        let ticket = self.server.fetch_begin(peer, keys::ENDPOINT, self.waker.clone())?;
         Ok(PeerFetch { peer: peer.clone(), ticket })
     }
 
@@ -126,9 +130,10 @@ impl PeerResolver {
         }))
     }
 
-    /// Park on the resolution's shard condvar for at most `limit`.
-    pub fn park(&self, fetch: &PeerFetch, limit: Duration) {
-        self.server.fetch_park(&fetch.ticket, limit);
+    /// Abandon an in-flight resolution, releasing its server-side reply
+    /// slot (and the waker in it).
+    pub fn cancel(&self, mut fetch: PeerFetch) {
+        self.server.fetch_cancel(&mut fetch.ticket);
     }
 
     /// Evict `peer` from the cache (peer death, retirement, or route

@@ -64,7 +64,7 @@ use crate::types::ProcId;
 use crate::value::{keys, PmixValue};
 use crate::wire::{membership_hash, AbortReason, Contribution, OpId, OpKind, ServerMsg};
 use parking_lot::{Condvar, Mutex, RwLock};
-use simnet::{Endpoint, EndpointId, EndpointSender, NodeId};
+use simnet::{Endpoint, EndpointId, EndpointSender, NodeId, Waker};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -245,10 +245,37 @@ struct KvsShard {
     kvs_local: HashMap<ProcId, HashMap<String, PmixValue>>,
     // Data learned about remote processes (fence collection / dmodex).
     kvs_cache: HashMap<ProcId, HashMap<String, PmixValue>>,
-    // In-flight dmodex fetches issued by local clients: token -> reply slot.
-    dmodex_waiting: HashMap<u64, Option<Option<PmixValue>>>,
+    // In-flight fetches issued by local clients: token -> reply slot.
+    dmodex_waiting: HashMap<u64, FetchSlot>,
     // Remote dmodex requests for keys not committed yet.
     dmodex_parked: Vec<(ProcId, String, EndpointId, u64)>,
+}
+
+/// Reply slot of one in-flight fetch. The requester's waker lives in the
+/// slot, so every path that removes the slot also drops the waker.
+#[derive(Default)]
+struct FetchSlot {
+    /// Owner process and key the fetch waits on (`None` for a scalar RM
+    /// reply).
+    awaits: Option<(ProcId, String)>,
+    /// `Some` once terminal: the value, or `None` for "not found".
+    reply: Option<Option<PmixValue>>,
+    /// Wakes the requesting rank's progress wait (nonblocking tickets).
+    waker: Option<Waker>,
+}
+
+impl FetchSlot {
+    fn awaiting(proc: &ProcId, key: &str, waker: Option<Waker>) -> Self {
+        Self { awaits: Some((proc.clone(), key.to_owned())), reply: None, waker }
+    }
+
+    /// Terminal transition: store the reply and wake the requester.
+    fn complete(&mut self, reply: Option<PmixValue>) {
+        self.reply = Some(reply);
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
+    }
 }
 
 /// Cold control-plane state (off every collective/KVS hot path).
@@ -469,8 +496,8 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
 }
 
 /// An in-flight nonblocking KVS fetch (see [`PmixServer::fetch_begin`]).
-/// Drive with [`PmixServer::fetch_poll`] until it returns `Some`; park
-/// between polls with [`PmixServer::fetch_park`].
+/// Drive with [`PmixServer::fetch_poll`] until it returns `Some`; between
+/// polls, block on the receive of the endpoint whose waker the ticket got.
 pub struct FetchTicket {
     proc: ProcId,
     key: String,
@@ -494,8 +521,9 @@ impl FetchTicket {
 enum FetchMode {
     /// Answered at begin time; `fetch_poll` hands the value out once.
     Resolved(Option<PmixValue>),
-    /// Owner is a local client that has not committed yet.
-    LocalWait,
+    /// Owner is a local client that has not committed yet; its commit
+    /// fills the reply slot the token names.
+    LocalWait { token: u64 },
     /// One dmodex round trip in flight; the token names the reply slot.
     Remote { token: u64 },
     /// Terminal: the result has been handed out (or the ticket cancelled).
@@ -747,7 +775,7 @@ impl PmixServer {
     }
 
     /// Commit key-value data for a local client, waking any parked dmodex
-    /// requests and local getters.
+    /// requests, local getters and local fetch tickets.
     pub fn commit_kvs(&self, proc: &ProcId, data: HashMap<String, PmixValue>) {
         let kshard = &self.kvs_shards[Self::kvs_shard_of(proc)];
         let mut ks = kshard.state.lock();
@@ -765,6 +793,18 @@ impl PmixServer {
             }
         }
         ks.dmodex_parked = still_parked;
+        // Complete local tickets waiting for this owner to publish.
+        let KvsShard { kvs_local, dmodex_waiting, .. } = &mut *ks;
+        let committed = &kvs_local[proc];
+        for slot in dmodex_waiting.values_mut() {
+            let value = match &slot.awaits {
+                Some((p, key)) if p == proc && slot.reply.is_none() => committed.get(key).cloned(),
+                _ => None,
+            };
+            if let Some(v) = value {
+                slot.complete(Some(v));
+            }
+        }
         self.publish_kvs_gauge(Self::kvs_shard_of(proc), &ks);
         drop(ks);
         for (reply_to, token, v) in served {
@@ -804,7 +844,7 @@ impl PmixServer {
             // Remote: issue (or re-check) a dmodex fetch. The token routes
             // the reply back to this shard.
             let token = self.mint_token(ki);
-            ks.dmodex_waiting.insert(token, None);
+            ks.dmodex_waiting.insert(token, FetchSlot::awaiting(proc, key, None));
             let owner = self
                 .registry
                 .server_of(entry.node)
@@ -822,7 +862,7 @@ impl PmixServer {
             ks = kshard.state.lock();
             loop {
                 if let Some(slot) = ks.dmodex_waiting.get(&token) {
-                    if let Some(reply) = slot.clone() {
+                    if let Some(reply) = slot.reply.clone() {
                         ks.dmodex_waiting.remove(&token);
                         return match reply {
                             Some(v) => {
@@ -858,50 +898,54 @@ impl PmixServer {
     ///   owner's `commit_kvs` (wait-for-publish semantics);
     /// * a remote owner issues one dmodex round trip whose reply lands in
     ///   the ticket's shard slot.
-    pub fn fetch_begin(&self, proc: &ProcId, key: &str) -> Result<FetchTicket> {
+    ///
+    /// A pending ticket's slot holds `waker`, woken on every terminal
+    /// transition: the owner's commit, the dmodex reply, and the owner's
+    /// death or retirement. The requester blocks in its own receive and
+    /// polls once woken.
+    pub fn fetch_begin(&self, proc: &ProcId, key: &str, waker: Waker) -> Result<FetchTicket> {
+        let ki = Self::kvs_shard_of(proc);
+        let ticket =
+            |mode| FetchTicket { proc: proc.clone(), key: key.to_owned(), shard: ki, mode };
+        let mut ks = self.kvs_shards[ki].state.lock();
+        // Both checks run under the shard lock: a death or retirement
+        // landing after them purges this shard only after the slot below
+        // exists, so its wake is never lost.
         let entry = self.registry.locate(proc)?;
         if self.dead.read().contains(proc) {
             return Err(PmixError::ProcTerminated(proc.clone()));
         }
-        let ki = Self::kvs_shard_of(proc);
-        let kshard = &self.kvs_shards[ki];
-        let mut ks = kshard.state.lock();
         let found = ks
             .kvs_local
             .get(proc)
             .and_then(|m| m.get(key))
             .or_else(|| ks.kvs_cache.get(proc).and_then(|m| m.get(key)))
             .cloned();
-        let mode = match found {
-            Some(v) => FetchMode::Resolved(Some(v)),
-            None if entry.node == self.node => FetchMode::LocalWait,
-            None => {
-                let token = self.mint_token(ki);
-                ks.dmodex_waiting.insert(token, None);
-                let owner = self
-                    .registry
-                    .server_of(entry.node)
-                    .ok_or(PmixError::Unreachable)?;
-                drop(ks);
-                let msg = ServerMsg::DmodexReq {
-                    reply_to: self.sender.id(),
-                    token,
-                    proc: proc.clone(),
-                    key: key.to_owned(),
-                };
-                self.sender.send(owner, msg.encode()).map_err(|_| {
-                    self.kvs_shards[ki].state.lock().dmodex_waiting.remove(&token);
-                    PmixError::Unreachable
-                })?;
-                return Ok(FetchTicket {
-                    proc: proc.clone(),
-                    key: key.to_owned(),
-                    shard: ki,
-                    mode: FetchMode::Remote { token },
-                });
-            }
+        if let Some(v) = found {
+            return Ok(ticket(FetchMode::Resolved(Some(v))));
+        }
+        let owner = if entry.node == self.node {
+            None
+        } else {
+            Some(self.registry.server_of(entry.node).ok_or(PmixError::Unreachable)?)
         };
-        Ok(FetchTicket { proc: proc.clone(), key: key.to_owned(), shard: ki, mode })
+        let token = self.mint_token(ki);
+        ks.dmodex_waiting.insert(token, FetchSlot::awaiting(proc, key, Some(waker)));
+        drop(ks);
+        let Some(owner) = owner else {
+            return Ok(ticket(FetchMode::LocalWait { token }));
+        };
+        let msg = ServerMsg::DmodexReq {
+            reply_to: self.sender.id(),
+            token,
+            proc: proc.clone(),
+            key: key.to_owned(),
+        };
+        self.sender.send(owner, msg.encode()).map_err(|_| {
+            self.kvs_shards[ki].state.lock().dmodex_waiting.remove(&token);
+            PmixError::Unreachable
+        })?;
+        Ok(ticket(FetchMode::Remote { token }))
     }
 
     /// Poll a ticket from [`PmixServer::fetch_begin`]: `None` while the
@@ -910,9 +954,12 @@ impl PmixServer {
     /// terminates the ticket with the matching typed error — a lazy get
     /// never silently degrades to a stale answer.
     pub fn fetch_poll(&self, ticket: &mut FetchTicket) -> Option<Result<PmixValue>> {
-        if let FetchMode::Resolved(slot) = &mut ticket.mode {
-            return slot.take().map(Ok);
-        }
+        let (token, remote) = match &mut ticket.mode {
+            FetchMode::Resolved(slot) => return slot.take().map(Ok),
+            FetchMode::Done => return None,
+            FetchMode::LocalWait { token } => (*token, false),
+            FetchMode::Remote { token } => (*token, true),
+        };
         if self.dead.read().contains(&ticket.proc) {
             self.fetch_cancel(ticket);
             return Some(Err(PmixError::ProcTerminated(ticket.proc.clone())));
@@ -921,82 +968,42 @@ impl PmixServer {
             self.fetch_cancel(ticket);
             return Some(Err(e));
         }
-        let kshard = &self.kvs_shards[ticket.shard];
-        let mut ks = kshard.state.lock();
-        match ticket.mode {
-            FetchMode::Resolved(_) => unreachable!("handled above"),
-            FetchMode::LocalWait => {
-                let found = ks
-                    .kvs_local
-                    .get(&ticket.proc)
-                    .and_then(|m| m.get(&ticket.key))
-                    .cloned();
-                found.map(|v| {
-                    ticket.mode = FetchMode::Done;
-                    Ok(v)
-                })
-            }
-            FetchMode::Remote { token } => {
-                let reply = match ks.dmodex_waiting.get(&token) {
-                    Some(Some(reply)) => {
-                        let reply = reply.clone();
-                        ks.dmodex_waiting.remove(&token);
-                        reply
-                    }
-                    Some(None) => return None,
-                    // Slot gone (purge raced us): fall back to the cache.
-                    None => ks
-                        .kvs_cache
-                        .get(&ticket.proc)
-                        .and_then(|m| m.get(&ticket.key))
-                        .cloned(),
-                };
-                ticket.mode = FetchMode::Done;
-                match reply {
-                    Some(v) => {
-                        ks.kvs_cache
-                            .entry(ticket.proc.clone())
-                            .or_default()
-                            .insert(ticket.key.clone(), v.clone());
-                        self.publish_kvs_gauge(ticket.shard, &ks);
-                        Some(Ok(v))
-                    }
-                    None => Some(Err(PmixError::NotFound(format!(
-                        "{}/{}",
-                        ticket.proc, ticket.key
-                    )))),
-                }
-            }
-            FetchMode::Done => None,
+        let mut ks = self.kvs_shards[ticket.shard].state.lock();
+        if ks.dmodex_waiting.get(&token).is_some_and(|slot| slot.reply.is_none()) {
+            return None;
         }
-    }
-
-    /// Park the calling thread on the ticket's shard condvar for at most
-    /// `limit` (condvar-grade wakeup on the owner's commit or the dmodex
-    /// reply, instead of a poll sleep). A resolved ticket returns at once.
-    pub fn fetch_park(&self, ticket: &FetchTicket, limit: Duration) {
-        match ticket.mode {
-            FetchMode::Resolved(_) | FetchMode::Done => {}
-            FetchMode::LocalWait | FetchMode::Remote { .. } => {
-                let kshard = &self.kvs_shards[ticket.shard];
-                let mut ks = kshard.state.lock();
-                kshard.cv.wait_for(&mut ks, limit);
+        // Only the ticket removes its slot, so a missing one cannot happen
+        // here; read it as "not found" rather than panic.
+        let reply = ks.dmodex_waiting.remove(&token).and_then(|slot| slot.reply).flatten();
+        ticket.mode = FetchMode::Done;
+        match reply {
+            Some(v) => {
+                if remote {
+                    ks.kvs_cache
+                        .entry(ticket.proc.clone())
+                        .or_default()
+                        .insert(ticket.key.clone(), v.clone());
+                    self.publish_kvs_gauge(ticket.shard, &ks);
+                }
+                Some(Ok(v))
             }
+            None => Some(Err(PmixError::NotFound(format!("{}/{}", ticket.proc, ticket.key)))),
         }
     }
 
     /// Abandon an in-flight ticket, releasing its reply slot (a late
     /// dmodex reply for a removed token is ignored by the handler).
-    fn fetch_cancel(&self, ticket: &mut FetchTicket) {
-        if let FetchMode::Remote { token } = ticket.mode {
+    pub fn fetch_cancel(&self, ticket: &mut FetchTicket) {
+        if let FetchMode::LocalWait { token } | FetchMode::Remote { token } = ticket.mode {
             self.kvs_shards[ticket.shard].state.lock().dmodex_waiting.remove(&token);
         }
         ticket.mode = FetchMode::Done;
     }
 
     /// Drop every business card of `proc` — committed data, remote cache
-    /// entries, and parked dmodex fetches (answered "not found" rather than
-    /// left to time out) — without declaring the process dead. This is the
+    /// entries, parked dmodex fetches and local tickets waiting on it (all
+    /// answered "not found" rather than left to time out) — without
+    /// declaring the process dead. This is the
     /// graceful-retirement twin of the purge inside
     /// [`PmixServer::on_proc_failed`]: `retire_ranks` produces no failure
     /// event, so without this call a retired rank's card would sit in the
@@ -1011,6 +1018,13 @@ impl PmixServer {
         let (gone_parked, live_parked): (Vec<_>, Vec<_>) =
             parked.into_iter().partition(|(p, ..)| p == proc);
         ks.dmodex_parked = live_parked;
+        // Local tickets waiting on `proc` end too: their poll reports the
+        // typed verdict (dead: `ProcTerminated`, retired: `NotFound`).
+        for slot in ks.dmodex_waiting.values_mut() {
+            if matches!(&slot.awaits, Some((p, _)) if p == proc) && slot.reply.is_none() {
+                slot.complete(None);
+            }
+        }
         self.publish_kvs_gauge(ki, &ks);
         drop(ks);
         if purged > 0 {
@@ -2115,7 +2129,7 @@ impl PmixServer {
         // the token's shard encoding routes the PgcidReply there.
         let kshard = &self.kvs_shards[0];
         let token = self.mint_token(0);
-        kshard.state.lock().dmodex_waiting.insert(token, None);
+        kshard.state.lock().dmodex_waiting.insert(token, FetchSlot::default());
         let count = self.pgcid_block.load(Ordering::Relaxed).max(1);
         self.sender
             .send(
@@ -2125,7 +2139,9 @@ impl PmixServer {
             .map_err(|_| PmixError::Unreachable)?;
         let mut ks = kshard.state.lock();
         loop {
-            if let Some(Some(Some(PmixValue::U64(v)))) = ks.dmodex_waiting.get(&token).cloned() {
+            if let Some(Some(Some(PmixValue::U64(v)))) =
+                ks.dmodex_waiting.get(&token).map(|slot| slot.reply.clone())
+            {
                 ks.dmodex_waiting.remove(&token);
                 return Ok(v);
             }
@@ -2271,7 +2287,7 @@ impl PmixServer {
                     let kshard = &self.kvs_shards[ki];
                     let mut ks = kshard.state.lock();
                     if let Some(slot) = ks.dmodex_waiting.get_mut(&token) {
-                        *slot = Some(Some(PmixValue::U64(pgcid)));
+                        slot.complete(Some(PmixValue::U64(pgcid)));
                     }
                     drop(ks);
                     kshard.cv.notify_all();
@@ -2316,8 +2332,8 @@ impl PmixServer {
                 let ki = (token % SERVER_SHARDS as u64) as usize;
                 let kshard = &self.kvs_shards[ki];
                 let mut ks = kshard.state.lock();
-                if ks.dmodex_waiting.contains_key(&token) {
-                    ks.dmodex_waiting.insert(token, Some(value));
+                if let Some(slot) = ks.dmodex_waiting.get_mut(&token) {
+                    slot.complete(value);
                 }
                 drop(ks);
                 kshard.cv.notify_all();

@@ -463,15 +463,20 @@ fn retired_peer_card_is_purged_and_resolution_fails_typed() {
     c1.put(pmix::value::keys::ENDPOINT, pmix::PmixValue::U64(42));
     c1.commit();
 
-    // Rank 0 resolves it on demand and caches the endpoint.
+    // Rank 0 resolves it on demand and caches the endpoint. Rank 0 blocks
+    // in the receive of a mailbox nobody sends to: the dmodex reply's wake
+    // is what ends each wait.
     let c0 = uni.client_for(&procs[0]).unwrap();
-    let resolver = pmix::PeerResolver::new(&c0);
+    let mailbox = uni.fabric().register(uni.testbed().cluster.node_of_slot(0));
+    let resolver = pmix::PeerResolver::new(&c0, mailbox.waker());
     let mut fetch = resolver.begin(&procs[1]).unwrap();
     let ep = loop {
         if let Some(res) = resolver.poll(&mut fetch) {
             break res.unwrap();
         }
-        resolver.park(&fetch, Duration::from_millis(5));
+        let t0 = std::time::Instant::now();
+        assert_eq!(mailbox.recv_timeout(Duration::from_secs(5)), Err(simnet::RecvError::Timeout));
+        assert!(t0.elapsed() < Duration::from_secs(2), "the reply must wake the mailbox");
     };
     assert_eq!(ep, simnet::EndpointId(42));
     assert_eq!(resolver.lookup(&procs[1]), Some(simnet::EndpointId(42)));
@@ -492,4 +497,37 @@ fn retired_peer_card_is_purged_and_resolution_fails_typed() {
         Err(other) => panic!("expected NotFound/ProcTerminated, got {other:?}"),
         Ok(_) => panic!("resolution of a retired peer must not begin"),
     }
+}
+
+#[test]
+fn late_local_publish_wakes_the_requester_unless_cancelled() {
+    // On-node owners that have not published yet: a fetch waits for the
+    // owner's commit, and the commit is what wakes the requester's
+    // mailbox. A cancelled fetch gives its reply slot, waker included,
+    // back, so a later commit wakes nobody.
+    let uni = PmixUniverse::new(SimTestbed::tiny(1, 3));
+    let procs = spawn_procs(&uni, "job", 3);
+    let client = |i: usize| uni.client_for(&procs[i]).unwrap();
+    let mailbox = uni.fabric().register(uni.testbed().cluster.node_of_slot(0));
+    let resolver = pmix::PeerResolver::new(&client(0), mailbox.waker());
+    let publish = |i: usize, ep: u64| {
+        let c = client(i);
+        c.put(pmix::value::keys::ENDPOINT, pmix::PmixValue::U64(ep));
+        c.commit();
+    };
+
+    let mut fetch = resolver.begin(&procs[1]).unwrap();
+    assert!(resolver.poll(&mut fetch).is_none(), "nothing published yet");
+    publish(1, 7);
+    let t0 = std::time::Instant::now();
+    assert_eq!(mailbox.recv_timeout(Duration::from_secs(5)), Err(simnet::RecvError::Timeout));
+    assert!(t0.elapsed() < Duration::from_secs(2), "the commit must wake the mailbox");
+    assert_eq!(resolver.poll(&mut fetch).unwrap().unwrap(), simnet::EndpointId(7));
+
+    let cancelled = resolver.begin(&procs[2]).unwrap();
+    resolver.cancel(cancelled);
+    publish(2, 8);
+    let t0 = std::time::Instant::now();
+    assert_eq!(mailbox.recv_timeout(Duration::from_millis(50)), Err(simnet::RecvError::Timeout));
+    assert!(t0.elapsed() >= Duration::from_millis(50), "a cancelled fetch must not wake");
 }

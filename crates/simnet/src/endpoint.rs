@@ -6,6 +6,7 @@ use crate::topology::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,6 +48,13 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
+/// One mailbox item: a fabric message, or a wake from a [`Waker`]. Wakes
+/// never leave this module: the receive calls absorb them.
+pub(crate) enum Mail {
+    Env(Envelope),
+    Wake,
+}
+
 /// A process's attachment point to the fabric: an id, a home node and a
 /// mailbox of incoming [`Envelope`]s.
 ///
@@ -56,7 +64,8 @@ impl std::error::Error for SendError {}
 pub struct Endpoint {
     id: EndpointId,
     node: NodeId,
-    rx: Receiver<Envelope>,
+    rx: Receiver<Mail>,
+    wake_pending: Arc<AtomicBool>,
     fabric: Arc<FabricCore>,
 }
 
@@ -64,10 +73,11 @@ impl Endpoint {
     pub(crate) fn new(
         id: EndpointId,
         node: NodeId,
-        rx: Receiver<Envelope>,
+        rx: Receiver<Mail>,
+        wake_pending: Arc<AtomicBool>,
         fabric: Arc<FabricCore>,
     ) -> Self {
-        Self { id, node, rx, fabric }
+        Self { id, node, rx, wake_pending, fabric }
     }
 
     /// This endpoint's fabric-unique id.
@@ -116,36 +126,93 @@ impl Endpoint {
     }
 
     /// Blocking receive. Returns `Disconnected` once this endpoint is killed
-    /// (and its queue fully drained) or the fabric is gone.
+    /// (and its queue fully drained) or the fabric is gone. A wake from a
+    /// [`Waker`] is absorbed: this call has no "nothing arrived" outcome,
+    /// so it keeps waiting for a message.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
+        loop {
+            match self.rx.recv() {
+                Ok(Mail::Env(env)) => return Ok(env),
+                Ok(Mail::Wake) => self.absorb_wake(),
+                Err(_) => return Err(RecvError::Disconnected),
+            }
+        }
     }
 
-    /// Receive with a deadline.
+    /// Receive with a deadline. A wake from a [`Waker`] ends the wait early:
+    /// the call then returns a message queued behind the wake, if any, and
+    /// `Timeout` otherwise.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
+        match self.rx.recv_timeout(timeout) {
+            Ok(Mail::Env(env)) => Ok(env),
+            Ok(Mail::Wake) => {
+                self.absorb_wake();
+                self.try_recv().map_err(|e| match e {
+                    RecvError::Empty => RecvError::Timeout,
+                    e => e,
+                })
+            }
+            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
+        }
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive. Pending wakes are skipped.
     pub fn try_recv(&self) -> Result<Envelope, RecvError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => RecvError::Empty,
-            TryRecvError::Disconnected => RecvError::Disconnected,
-        })
+        loop {
+            match self.rx.try_recv() {
+                Ok(Mail::Env(env)) => return Ok(env),
+                Ok(Mail::Wake) => self.absorb_wake(),
+                Err(TryRecvError::Empty) => return Err(RecvError::Empty),
+                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
+            }
+        }
+    }
+
+    // Re-arm the waker once its wake has been taken off the queue.
+    fn absorb_wake(&self) {
+        self.wake_pending.store(false, Ordering::SeqCst);
     }
 
     /// Number of messages currently queued in the mailbox.
     pub fn queued(&self) -> usize {
-        self.rx.len()
+        let wake = self.wake_pending.load(Ordering::SeqCst) as usize;
+        self.rx.len().saturating_sub(wake)
+    }
+
+    /// A handle that wakes this endpoint's blocked receive from any thread,
+    /// without sending it a message (see [`Waker`]).
+    pub fn waker(&self) -> Waker {
+        Waker { id: self.id, fabric: self.fabric.clone() }
     }
 
     /// A cloneable send-only handle for this endpoint, usable from threads
     /// that do not own the mailbox (e.g. a server's worker threads).
     pub fn sender(&self) -> EndpointSender {
         EndpointSender { id: self.id, node: self.node, fabric: self.fabric.clone() }
+    }
+}
+
+/// Wakes one endpoint's blocked [`Endpoint::recv_timeout`] early, so a
+/// thread that completes work on the endpoint owner's behalf (a PMIx
+/// server answering its KVS fetch) can hand control back at once instead
+/// of leaving the owner to sleep out its timeout.
+///
+/// A wake is not a fabric message: it touches no traffic counter, no
+/// activity tick, no fault hook and no trace context. Wakes sent before
+/// the owner receives coalesce into one. The waker looks the endpoint up
+/// on every wake, so it never keeps a killed endpoint's mailbox open; a
+/// wake to a dead endpoint does nothing.
+#[derive(Clone)]
+pub struct Waker {
+    id: EndpointId,
+    fabric: Arc<FabricCore>,
+}
+
+impl Waker {
+    /// Wake the endpoint's current or next blocked receive.
+    pub fn wake(&self) {
+        self.fabric.wake(self.id);
     }
 }
 
@@ -208,7 +275,7 @@ impl std::fmt::Debug for Endpoint {
         f.debug_struct("Endpoint")
             .field("id", &self.id)
             .field("node", &self.node)
-            .field("queued", &self.rx.len())
+            .field("queued", &self.queued())
             .finish()
     }
 }

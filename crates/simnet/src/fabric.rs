@@ -10,7 +10,7 @@
 //! one, matching the ordered-delivery guarantee MPI point-to-point relies on.
 
 use crate::cost::CostModel;
-use crate::endpoint::{Endpoint, EndpointId, SendError};
+use crate::endpoint::{Endpoint, EndpointId, Mail, SendError};
 use crate::failure::{FailureEvent, FailureWatcher};
 use crate::inject::{FaultAction, FaultHook, MsgView};
 use crate::message::Envelope;
@@ -18,7 +18,7 @@ use crate::topology::NodeId;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -36,8 +36,11 @@ pub struct FabricStats {
 }
 
 struct Entry {
-    tx: Sender<Envelope>,
+    tx: Sender<Mail>,
     node: NodeId,
+    // Set while a wake sits in the mailbox, so repeated wakes coalesce
+    // into one; the endpoint clears it when it absorbs the wake.
+    wake_pending: Arc<AtomicBool>,
 }
 
 struct Registry {
@@ -276,7 +279,7 @@ impl FabricCore {
             };
             if !has_pending {
                 for _ in 0..copies {
-                    let _ = dst_tx.send(env.clone());
+                    let _ = dst_tx.send(Mail::Env(env.clone()));
                     self.activity.fetch_add(1, Ordering::Relaxed);
                 }
                 return Ok(());
@@ -315,6 +318,17 @@ impl FabricCore {
         let mut watchers = self.watchers.lock();
         self.registry.dead.write().insert(id, entry.node);
         watchers.retain(|w| w.send(event).is_ok());
+    }
+
+    /// Make `id`'s blocked receive return early (see
+    /// [`Waker`](crate::endpoint::Waker)). Not a message: no counter,
+    /// activity tick or fault hook sees it. A dead endpoint is not woken.
+    pub(crate) fn wake(&self, id: EndpointId) {
+        if let Some(e) = self.registry.map.read().get(&id) {
+            if !e.wake_pending.swap(true, Ordering::SeqCst) {
+                let _ = e.tx.send(Mail::Wake);
+            }
+        }
     }
 
     fn cv_notify(&self) {
@@ -390,8 +404,13 @@ impl Fabric {
             Ordering::Relaxed,
         );
         let (tx, rx) = unbounded();
-        self.0.registry.map.write().insert(id, Entry { tx, node });
-        Endpoint::new(id, node, rx, self.0.clone())
+        let wake_pending = Arc::new(AtomicBool::new(false));
+        self.0
+            .registry
+            .map
+            .write()
+            .insert(id, Entry { tx, node, wake_pending: wake_pending.clone() });
+        Endpoint::new(id, node, rx, wake_pending, self.0.clone())
     }
 
     /// True if `id` refers to a live endpoint.
@@ -548,7 +567,7 @@ fn pump_loop(pump: Arc<Pump>, core: std::sync::Weak<FabricCore>) {
             {
                 let map = core.registry.map.read();
                 if let Some(entry) = map.get(&env.dst) {
-                    let _ = entry.tx.send(env);
+                    let _ = entry.tx.send(Mail::Env(env));
                 }
             }
             core.activity.fetch_add(1, Ordering::Relaxed);
@@ -880,6 +899,98 @@ mod tests {
             assert_eq!(seen[2].pair_seq, 0);
             assert_eq!(seen[2].src_node, Some(NodeId(1)));
             assert_eq!(fabric.base_endpoint_id(), a.id().0);
+        }
+    }
+
+    mod wakers {
+        use super::*;
+        use crate::endpoint::RecvError;
+        use crate::inject::{FaultHook, FaultVerdict, MsgView};
+
+        /// Delivers everything and counts the messages it was shown.
+        #[derive(Default)]
+        struct CountingHook {
+            calls: AtomicU64,
+        }
+
+        impl FaultHook for CountingHook {
+            fn on_message(&self, _msg: &MsgView) -> FaultVerdict {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                FaultVerdict::deliver()
+            }
+        }
+
+        #[test]
+        fn wake_unblocks_recv_timeout_without_an_envelope() {
+            let fabric = Fabric::new(CostModel::zero());
+            let b = fabric.register(NodeId(0));
+            let waker = b.waker();
+            let t = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                waker.wake();
+            });
+            let start = Instant::now();
+            assert_eq!(b.recv_timeout(Duration::from_secs(5)), Err(RecvError::Timeout));
+            assert!(start.elapsed() < Duration::from_secs(2), "woke after {:?}", start.elapsed());
+            t.join().unwrap();
+            // The wake was absorbed: nothing is left to receive.
+            assert_eq!(b.try_recv(), Err(RecvError::Empty));
+            assert_eq!(b.queued(), 0);
+        }
+
+        #[test]
+        fn wake_is_not_traffic() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(1));
+            let hook = Arc::new(CountingHook::default());
+            fabric.set_fault_hook(Some(hook.clone()));
+            a.send(b.id(), payload(3)).unwrap();
+            let (stats, flight, activity) = (fabric.stats(), fabric.in_flight(), fabric.activity());
+            let counters = fabric.obs().sum_counters("fabric", "msgs_on_node")
+                + fabric.obs().sum_counters("fabric", "msgs_inter_node");
+            b.waker().wake();
+            b.waker().wake();
+            assert_eq!(fabric.stats(), stats);
+            assert_eq!(fabric.in_flight(), flight);
+            assert_eq!(fabric.activity(), activity);
+            assert_eq!(hook.calls.load(Ordering::Relaxed), 1);
+            assert_eq!(
+                fabric.obs().sum_counters("fabric", "msgs_on_node")
+                    + fabric.obs().sum_counters("fabric", "msgs_inter_node"),
+                counters
+            );
+            // The message queued ahead of the wakes still arrives, and the
+            // two wakes coalesced into one that the receive absorbs.
+            assert_eq!(b.queued(), 1);
+            assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().len(), 3);
+            assert_eq!(b.try_recv(), Err(RecvError::Empty));
+        }
+
+        #[test]
+        fn wake_returns_a_message_queued_behind_it() {
+            let fabric = Fabric::new(CostModel::zero());
+            let a = fabric.register(NodeId(0));
+            let b = fabric.register(NodeId(0));
+            b.waker().wake();
+            a.send(b.id(), payload(4)).unwrap();
+            assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().len(), 4);
+            // Absorbing the wake re-armed the waker.
+            b.waker().wake();
+            let start = Instant::now();
+            assert_eq!(b.recv_timeout(Duration::from_secs(5)), Err(RecvError::Timeout));
+            assert!(start.elapsed() < Duration::from_secs(2));
+        }
+
+        #[test]
+        fn wake_after_kill_does_nothing() {
+            let fabric = Fabric::new(CostModel::zero());
+            let b = fabric.register(NodeId(0));
+            let waker = b.waker();
+            fabric.kill(b.id());
+            waker.wake();
+            assert_eq!(b.recv(), Err(RecvError::Disconnected));
+            assert_eq!(b.recv_timeout(Duration::from_secs(5)), Err(RecvError::Disconnected));
         }
     }
 }

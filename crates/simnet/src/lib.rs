@@ -32,7 +32,7 @@ pub mod testbed;
 pub mod topology;
 
 pub use cost::CostModel;
-pub use endpoint::{Endpoint, EndpointId, EndpointSender, RecvError, SendError};
+pub use endpoint::{Endpoint, EndpointId, EndpointSender, RecvError, SendError, Waker};
 pub use fabric::Fabric;
 pub use failure::{FailureEvent, FailureWatcher};
 pub use inject::{FaultAction, FaultHook, FaultVerdict, MsgView};
