@@ -76,9 +76,13 @@ const COUNTERS: &[(&str, &str)] = &[
 
 /// Reduce one finished run's registry to the gate's deterministic record.
 fn extract(registry: &std::sync::Arc<obs::Registry>) -> Value {
-    let dropped = registry.spans_dropped();
-    assert_eq!(dropped, 0, "gate workload overflowed the span buffer");
-    let report = obs::analyze::analyze(&registry.spans_snapshot(), dropped);
+    let (spans, events) = (registry.spans_dropped(), registry.events_dropped());
+    assert_eq!(
+        spans + events,
+        0,
+        "gate workload overflowed the obs record buffer ({spans} span(s), {events} event(s) dropped)"
+    );
+    let report = obs::analyze::analyze(&registry.spans_snapshot(), spans);
     let rep = report.as_object().expect("report object");
     let mut out = Map::new();
     out.insert("span_count".into(), rep["span_count"].clone());

@@ -92,7 +92,6 @@ fn dump_chaos_fail(out: Option<String>) {
     // the flight recorder exactly as it would for a real wedged run.
     world.universe().fabric().obs().event(
         "canary",
-        "request",
         "req.stalled",
         vec![("id".into(), 1u64.into()), ("stage".into(), "group".into())],
     );

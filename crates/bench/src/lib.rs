@@ -61,8 +61,8 @@ impl MetricsSink {
     /// Record one run's metrics export under `label`.
     ///
     /// A `--metrics-out` run with dropped events is a **hard failure**:
-    /// the export would silently under-report, so refuse to produce it
-    /// (raise the ring capacity or trim the workload instead).
+    /// the obs record buffer filled up and the export would silently
+    /// under-report, so refuse to produce it (trim the workload instead).
     pub fn record(&mut self, label: &str, metrics: Value) {
         if self.enabled() {
             let dropped = metrics
@@ -74,8 +74,8 @@ impl MetricsSink {
                 .unwrap_or(0);
             assert!(
                 dropped == 0,
-                "run '{label}': {dropped} event(s) dropped from the obs ring; \
-                 a --metrics-out export must be complete"
+                "run '{label}': {dropped} event(s) dropped from the full obs record \
+                 buffer; a --metrics-out export must be complete"
             );
             self.runs.insert(label.to_owned(), metrics);
         }

@@ -50,7 +50,7 @@
 //!     *permanently* — exactly the failure mode the watchdog exists to
 //!     surface. Stall/unstall episodes alternate per request, so the count
 //!     algebra (`stalls ≤ unstalls`, or one extra stall closed by a
-//!     terminal event) checks episode closure without needing ring order.
+//!     terminal event) checks episode closure without needing buffer order.
 //!
 //! 14. **lazy-resolve-terminal** — every lazy peer resolution a process
 //!     began (`pml.lazy_resolve` phase `begin`) reached a terminal `end`
@@ -66,9 +66,9 @@
 //!     lost the death, and every epoch-pinned repair over the pset would
 //!     re-admit a corpse.
 //!
-//! Ring overflow (`events_dropped > 0`) is itself a violation: the event-
-//! based checks are only sound over a complete ring, so scenarios must be
-//! sized to fit it.
+//! A full obs record buffer (`spans_dropped + events_dropped > 0`) is
+//! itself a violation (**obs-buffer**): the event-based checks are only
+//! sound over a complete record, so scenarios must be sized to fit it.
 
 use crate::hook::FaultRecord;
 use crate::plan::FaultClass;
@@ -125,7 +125,7 @@ impl InvariantChecker {
     /// Run every check; returns all violations found.
     pub fn check(&self, ctx: &InvariantCtx<'_>) -> Vec<Violation> {
         let mut out = Vec::new();
-        self.check_ring(ctx, &mut out);
+        self.check_buffer(ctx, &mut out);
         self.check_handshakes(ctx, &mut out);
         self.check_fanout_abort(ctx, &mut out);
         self.check_pgcids(ctx, &mut out);
@@ -142,12 +142,15 @@ impl InvariantChecker {
         out
     }
 
-    fn check_ring(&self, ctx: &InvariantCtx<'_>, out: &mut Vec<Violation>) {
-        let dropped = ctx.obs.events_dropped();
-        if dropped > 0 {
+    fn check_buffer(&self, ctx: &InvariantCtx<'_>, out: &mut Vec<Violation>) {
+        let (spans, events) = (ctx.obs.spans_dropped(), ctx.obs.events_dropped());
+        if spans + events > 0 {
             out.push(Violation {
-                invariant: "obs-ring",
-                detail: format!("{dropped} events dropped; event checks are unsound"),
+                invariant: "obs-buffer",
+                detail: format!(
+                    "obs record buffer full: {spans} span(s) and {events} event(s) \
+                     dropped; event checks are unsound"
+                ),
             });
         }
     }
@@ -356,7 +359,7 @@ impl InvariantChecker {
 
     fn check_pset_epochs(&self, ctx: &InvariantCtx<'_>, out: &mut Vec<Violation>) {
         // The bridge emits one `pset.update` per registry change under the
-        // emission lock, so ring order is publication order: epochs must be
+        // emission lock, so buffer order is publication order: epochs must be
         // strictly increasing across all psets (the epoch is global).
         let updates = ctx.obs.events_named("pset.update");
         let epochs: Vec<u64> = updates.iter().map(|e| attr_u64(e, "epoch")).collect();
@@ -563,11 +566,11 @@ impl InvariantChecker {
     }
 }
 
-fn attr_u64(e: &obs::Event, k: &str) -> u64 {
+fn attr_u64(e: &obs::SpanRecord, k: &str) -> u64 {
     e.attr(k).and_then(|v| v.as_u64()).unwrap_or(0)
 }
 
-fn attr_str(e: &obs::Event, k: &str) -> String {
+fn attr_str(e: &obs::SpanRecord, k: &str) -> String {
     e.attr(k).and_then(|v| v.as_str()).unwrap_or("").to_owned()
 }
 
@@ -611,8 +614,8 @@ mod tests {
                 ("peer".into(), 1u64.into()),
             ]
         };
-        obs.event("ep1", "pml", "pml.handshake", attrs());
-        obs.event("ep1", "pml", "pml.handshake", attrs());
+        obs.event("ep1", "pml.handshake", attrs());
+        obs.event("ep1", "pml.handshake", attrs());
         obs.counter("ep1", "pml", "handshakes").add(2);
         // Account for the pgcid so only the handshake check trips.
         obs.counter("server:0", "pmix", "pgcid_allocated").inc();
@@ -635,14 +638,14 @@ mod tests {
         };
         // Same (process, exCID, peer) twice — legal because an eviction
         // bumped the generation between the two completions.
-        obs.event("ep1", "pml", "pml.handshake", attrs(0));
-        obs.event("ep1", "pml", "pml.handshake", attrs(3));
+        obs.event("ep1", "pml.handshake", attrs(0));
+        obs.event("ep1", "pml.handshake", attrs(3));
         obs.counter("ep1", "pml", "handshakes").add(2);
         obs.counter("server:0", "pmix", "pgcid_allocated").inc();
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
         assert!(v.is_empty(), "got: {v:?}");
         // A third completion reusing generation 3 is the real bug.
-        obs.event("ep1", "pml", "pml.handshake", attrs(3));
+        obs.event("ep1", "pml.handshake", attrs(3));
         obs.counter("ep1", "pml", "handshakes").inc();
         let v = InvariantChecker::standard().check(&ctx_for(&obs, &fabric, &[]));
         assert_eq!(v.len(), 1, "got: {v:?}");
@@ -654,7 +657,7 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let refill = || {
-            obs.event("r0", "cid", "cid.refill", vec![("pgcid".into(), 9u64.into())]);
+            obs.event("r0", "cid.refill", vec![("pgcid".into(), 9u64.into())]);
         };
         obs.counter("server:0", "pmix", "pgcid_allocated").inc();
         refill();
@@ -664,7 +667,7 @@ mod tests {
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert_eq!(v[0].invariant, "pgcid-accounting");
         // The destruct-time recycle legitimizes the reuse.
-        obs.event("server:0", "pmix", "pgcid.recycled", vec![(
+        obs.event("server:0", "pgcid.recycled", vec![(
             "pgcid".into(),
             9u64.into(),
         )]);
@@ -683,12 +686,12 @@ mod tests {
                 ("epoch".into(), 1u64.into()),
             ]
         };
-        obs.event("server:0", "pmix", "group.abort", {
+        obs.event("server:0", "group.abort", {
             let mut a = base();
             a.push(("reason".into(), "timeout".into()));
             a
         });
-        obs.event("server:0", "pmix", "group.fanout", {
+        obs.event("server:0", "group.fanout", {
             let mut a = base();
             a.push(("members".into(), 2u64.into()));
             a.push(("pgcid".into(), 0u64.into()));
@@ -706,7 +709,7 @@ mod tests {
         // Two servers fan the same epoch out with different pgcids, and the
         // RM never allocated anything.
         for (srv, pgcid) in [("server:0", 11u64), ("server:1", 12u64)] {
-            obs.event(srv, "pmix", "group.fanout", vec![
+            obs.event(srv, "group.fanout", vec![
                 ("op".into(), "g".into()),
                 ("kind".into(), "group_construct".into()),
                 ("epoch".into(), 1u64.into()),
@@ -758,7 +761,7 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let update = |epoch: u64| {
-            obs.event("registry", "pmix", "pset.update", vec![
+            obs.event("registry", "pset.update", vec![
                 ("pset".into(), "app://x".into()),
                 ("epoch".into(), epoch.into()),
                 ("kind".into(), "membership".into()),
@@ -769,7 +772,7 @@ mod tests {
         update(3);
         update(3); // duplicate epoch: monotonicity broken
         // A rebuild against an epoch nobody published.
-        obs.event("ep9", "session", "session.rebuild", vec![
+        obs.event("ep9", "session.rebuild", vec![
             ("pset".into(), "app://x".into()),
             ("epoch".into(), 7u64.into()),
         ]);
@@ -785,7 +788,7 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let retire = |stale: u64| {
-            obs.event("ep4", "session", "elastic.retire", vec![
+            obs.event("ep4", "elastic.retire", vec![
                 ("pset".into(), "app://x".into()),
                 ("epoch".into(), 2u64.into()),
                 ("stale_unexpected".into(), stale.into()),
@@ -806,7 +809,7 @@ mod tests {
         let fabric = Fabric::new(CostModel::zero());
         let obs = fabric.obs();
         let ev = |name: &str, id: u64| {
-            obs.event("ns:0", "req", name, vec![
+            obs.event("ns:0", name, vec![
                 ("op".into(), "comm_create_from_group".into()),
                 ("id".into(), id.into()),
             ]);
@@ -834,7 +837,7 @@ mod tests {
             if let Some(o) = outcome {
                 attrs.push(("outcome".into(), o.into()));
             }
-            obs.event("job:0", "pml", "pml.lazy_resolve", attrs);
+            obs.event("job:0", "pml.lazy_resolve", attrs);
         };
         // A resolved round trip and a typed failure are both clean.
         ev("begin", None);

@@ -542,7 +542,6 @@ impl Comm {
                         let obs = self.process.obs();
                         obs.event(
                             &self.process.proc().to_string(),
-                            "cid",
                             "cid.refill",
                             vec![(
                                 "pgcid".into(),
@@ -596,7 +595,6 @@ impl Comm {
                 };
                 obs.event(
                     &p,
-                    "cid",
                     "cid.subfield_exhausted",
                     vec![("reason".into(), reason.into())],
                 );
@@ -809,7 +807,6 @@ impl Comm {
                 parent.count_derivation();
                 parent.process.obs().event(
                     &parent.process.proc().to_string(),
-                    "cid",
                     "cid.refill",
                     vec![(
                         "pgcid".into(),

@@ -258,7 +258,6 @@ impl Session {
                     obs.counter(&p, "session", "rebuilds").inc();
                     obs.event(
                         &p,
-                        "session",
                         "session.rebuild",
                         vec![
                             ("pset".into(), pset.into()),
@@ -280,7 +279,6 @@ impl Session {
                     obs.counter(&p, "session", "rebuild_reentered").inc();
                     obs.event(
                         &p,
-                        "session",
                         "rebuild.reenter",
                         vec![
                             ("pset".into(), pset.into()),
@@ -320,7 +318,6 @@ fn retire(old: Comm, update: &PsetUpdate, obs: &obs::Registry, p: &str) -> u64 {
     old.abandon();
     obs.event(
         p,
-        "session",
         "elastic.retire",
         vec![
             ("pset".into(), update.pset.as_str().into()),

@@ -351,7 +351,6 @@ impl MpiProcess {
                         .add(leaked as u64);
                     obs.event(
                         &p,
-                        "instance",
                         "instance.teardown_leak",
                         vec![
                             ("leaked_cids".into(), (leaked as u64).into()),

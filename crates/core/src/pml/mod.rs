@@ -307,7 +307,6 @@ impl PmlMetrics {
         self.handshakes.inc();
         self.obs.event(
             &self.process,
-            "pml",
             "pml.handshake",
             vec![
                 ("pgcid".into(), excid.pgcid.into()),
@@ -915,7 +914,7 @@ impl Pml {
         if let Some(o) = outcome {
             attrs.push(("outcome".into(), o.into()));
         }
-        self.metrics.obs.event(&self.metrics.process, "pml", "pml.lazy_resolve", attrs);
+        self.metrics.obs.event(&self.metrics.process, "pml.lazy_resolve", attrs);
     }
 
     /// Park `qs` behind a resolution of `peer`, starting one if none is in

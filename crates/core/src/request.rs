@@ -587,7 +587,7 @@ impl<T> SetupCore<T> {
             ("id".into(), self.id.into()),
         ];
         attrs.extend(extra);
-        obs.event(&p, "req", name, attrs);
+        obs.event(&p, name, attrs);
     }
 
     /// Run at most one stage poll (and so at most one stage transition).

@@ -146,7 +146,7 @@ fn cache_eviction_churn_never_breaks_handshake_uniqueness() {
     // may force a re-handshake on a still-live comm, but only ever under a
     // new generation.
     let events = obs.events_named("pml.handshake");
-    let attr = |e: &obs::Event, k: &str| e.attr(k).and_then(|v| v.as_u64()).unwrap_or(0);
+    let attr = |e: &obs::SpanRecord, k: &str| e.attr(k).and_then(|v| v.as_u64()).unwrap_or(0);
     let mut seen = HashSet::new();
     for e in &events {
         let key = (

@@ -531,6 +531,52 @@ mod tests {
     }
 
     #[test]
+    fn instants_leave_the_report_unchanged() {
+        // Same spans in both registries; `b` also emits instants inside
+        // and outside them. Each instant parents under its enclosing span.
+        let run = |r: &Registry, instants: bool| {
+            let mut expected_parents = Vec::new();
+            let mut tick = |parent: Option<SpanId>| {
+                if instants {
+                    r.event("p0", "tick", vec![]);
+                    expected_parents.push(parent);
+                }
+            };
+            tick(None);
+            let mut root = r.span("p0", "job", "");
+            root.add_work(2);
+            let g = root.enter();
+            tick(Some(root.id()));
+            let mut send = r.span("p0", "send", "");
+            let sg = send.enter();
+            tick(Some(send.id()));
+            drop(sg);
+            send.add_work(1);
+            let mut recv = r.span("p1", "recv", "");
+            recv.link(send.context());
+            recv.add_work(5);
+            let rg = recv.enter();
+            tick(Some(recv.id()));
+            drop(rg);
+            send.end();
+            recv.end();
+            drop(g);
+            root.end();
+            tick(None);
+            expected_parents
+        };
+        let (a, b) = (Registry::new(), Registry::new());
+        run(&a, false);
+        let parents = run(&b, true);
+        assert_eq!(
+            serde_json::to_string(&report(&a)).unwrap(),
+            serde_json::to_string(&report(&b)).unwrap()
+        );
+        let got: Vec<Option<SpanId>> = b.events_named("tick").iter().map(|e| e.parent).collect();
+        assert_eq!(got, parents);
+    }
+
+    #[test]
     fn repeated_triples_get_occurrence_suffixes() {
         let r = Registry::new();
         r.span("p", "op", "k").end();

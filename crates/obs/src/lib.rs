@@ -1,5 +1,5 @@
-//! Stack-wide observability: a lock-cheap metrics registry plus a bounded
-//! structured event recorder.
+//! Stack-wide observability: a lock-cheap metrics registry plus one bounded
+//! buffer of causal records (spans and instant events).
 //!
 //! Every layer of the simulated stack (fabric, PMIx, PRRTE, MPI core) hangs
 //! one [`Registry`] off the fabric it runs on, so metrics from all processes
@@ -19,18 +19,20 @@
 //! * **Counters are monotonic** — the API offers only `inc`/`add`; there is
 //!   no decrement or reset, so a later reading is never smaller than an
 //!   earlier one (the property tests pin this down).
-//! * **Events are bounded** — the recorder is a fixed-capacity ring: when
-//!   full, the oldest event is dropped and a drop counter incremented, so
-//!   memory use cannot grow with run length.
-//! * **Export is plain JSON** — [`Registry::export`] renders everything into
-//!   a `serde_json::Value` with sorted keys (deterministic output).
+//! * **One record buffer** — [`Registry::event`] records an *instant*: a
+//!   [`SpanRecord`] in the same fixed-capacity buffer as the spans of
+//!   [`trace`], on the same Lamport clock. When the buffer is full, new
+//!   records are dropped and counted (spans and instants apart), so memory
+//!   use cannot grow with run length.
+//! * **Export is plain JSON** — [`Registry::export`] renders the metrics
+//!   into a `serde_json::Value` with sorted keys (deterministic output).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde_json::{Map, Value};
 
 pub mod analyze;
@@ -248,10 +250,10 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Events
+// Attributes
 // ---------------------------------------------------------------------------
 
-/// Typed attribute value attached to an [`Event`].
+/// Typed attribute value attached to a span or instant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// Unsigned integer attribute.
@@ -298,16 +300,6 @@ impl From<bool> for AttrValue {
 }
 
 impl AttrValue {
-    fn to_json(&self) -> Value {
-        match self {
-            AttrValue::U64(v) => Value::U64(*v),
-            AttrValue::I64(v) => Value::I64(*v),
-            AttrValue::F64(v) => Value::F64(*v),
-            AttrValue::Str(v) => Value::Str(v.clone()),
-            AttrValue::Bool(v) => Value::Bool(*v),
-        }
-    }
-
     /// Coerce to `u64` when the attribute holds one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -326,75 +318,11 @@ impl AttrValue {
     }
 }
 
-/// One structured event: logical timestamp plus the `(process, component,
-/// name)` identity and free-form typed attributes.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// Logical timestamp: a registry-wide strictly increasing sequence
-    /// number (no wall clock — runs are simulated).
-    pub ts: u64,
-    /// Emitting process (same scoping convention as metric keys).
-    pub process: String,
-    /// Emitting subsystem.
-    pub component: String,
-    /// Event name, e.g. `"group.fanin"`.
-    pub name: String,
-    /// Typed attributes.
-    pub attrs: Vec<(String, AttrValue)>,
-}
-
-impl Event {
-    /// Look up an attribute by key.
-    pub fn attr(&self, k: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(a, _)| a == k).map(|(_, v)| v)
-    }
-}
-
-/// Default event-ring capacity.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
-
-struct EventRecorder {
-    clock: AtomicU64,
-    capacity: usize,
-    ring: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-}
-
-impl EventRecorder {
-    fn new(capacity: usize) -> Self {
-        Self {
-            clock: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, process: &str, component: &str, name: &str, attrs: Vec<(String, AttrValue)>) {
-        let mut ev = Event {
-            ts: 0,
-            process: process.to_string(),
-            component: component.to_string(),
-            name: name.to_string(),
-            attrs,
-        };
-        let mut ring = self.ring.lock();
-        // The timestamp is minted under the ring lock: minting it outside
-        // would let two racing recorders insert out of timestamp order.
-        ev.ts = self.clock.fetch_add(1, Ordering::Relaxed);
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(ev);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// The per-cluster metrics registry plus event recorder.
+/// The per-cluster metrics registry plus record buffer.
 ///
 /// Cheap to share: every layer holds an `Arc<Registry>`. Handle resolution
 /// (`counter`/`gauge`/`histogram`) takes a short-lived map lock; recording
@@ -403,7 +331,6 @@ pub struct Registry {
     pub(crate) counters: RwLock<HashMap<Key, Counter>>,
     pub(crate) gauges: RwLock<HashMap<Key, Gauge>>,
     pub(crate) histograms: RwLock<HashMap<Key, Histogram>>,
-    events: EventRecorder,
     traces: Arc<trace::TraceShared>,
     /// MPI_T-style control-variable store (see [`tool`]).
     tool: tool::CvarStore,
@@ -416,24 +343,19 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// New registry with the default event capacity.
+    /// New registry with the default record-buffer capacity.
     pub fn new() -> Self {
-        Self::with_event_capacity(DEFAULT_EVENT_CAPACITY)
+        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// New registry with an explicit event-ring capacity (min 1).
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Self::with_capacities(capacity, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// New registry with explicit event-ring and span-buffer capacities.
-    pub fn with_capacities(event_capacity: usize, span_capacity: usize) -> Self {
+    /// New registry whose record buffer holds `capacity` spans and
+    /// instants together (min 1).
+    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             counters: RwLock::new(HashMap::new()),
             gauges: RwLock::new(HashMap::new()),
             histograms: RwLock::new(HashMap::new()),
-            events: EventRecorder::new(event_capacity),
-            traces: Arc::new(trace::TraceShared::new(span_capacity)),
+            traces: Arc::new(trace::TraceShared::new(capacity)),
             tool: tool::CvarStore::default(),
         }
     }
@@ -465,9 +387,12 @@ impl Registry {
         self.histograms.write().entry(k).or_default().clone()
     }
 
-    /// Record a structured event.
-    pub fn event(&self, process: &str, component: &str, name: &str, attrs: Vec<(String, AttrValue)>) {
-        self.events.record(process, component, name, attrs);
+    /// Record an instant event: a zero-length [`SpanRecord`] stamped from
+    /// the shared Lamport clock and parented under this thread's current
+    /// span in this registry, if any.
+    pub fn event(&self, process: &str, name: &str, attrs: Vec<(String, AttrValue)>) {
+        let parent = trace::current_context_in(&self.traces);
+        self.traces.instant(process, name, attrs, parent);
     }
 
     // -- tracing -------------------------------------------------------------
@@ -497,20 +422,16 @@ impl Registry {
         self.traces.start_span(process, name, key, parent)
     }
 
-    /// Snapshot of every *ended* span in the buffer (unspecified order;
-    /// feed into [`analyze::analyze`] for the canonical view).
+    /// Snapshot of every *ended* span in the buffer, instants excluded
+    /// (unspecified order; feed into [`analyze::analyze`] for the
+    /// canonical view).
     pub fn spans_snapshot(&self) -> Vec<SpanRecord> {
-        self.traces.snapshot()
+        self.traces.records(|r| !r.instant)
     }
 
-    /// Number of ended spans discarded because the span buffer was full.
+    /// Number of ended spans discarded because the buffer was full.
     pub fn spans_dropped(&self) -> u64 {
-        self.traces.dropped()
-    }
-
-    /// Capacity of the span buffer.
-    pub fn span_capacity(&self) -> usize {
-        self.traces.capacity()
+        self.traces.dropped().0
     }
 
     // -- read side -----------------------------------------------------------
@@ -593,51 +514,33 @@ impl Registry {
         v
     }
 
-    /// All recorded (still-buffered) events with the given name, in
-    /// timestamp order.
-    pub fn events_named(&self, name: &str) -> Vec<Event> {
-        self.events
-            .ring
-            .lock()
-            .iter()
-            .filter(|e| e.name == name)
-            .cloned()
-            .collect()
+    /// Every buffered instant event with the given name, in buffer order
+    /// (which is clock order).
+    pub fn events_named(&self, name: &str) -> Vec<SpanRecord> {
+        self.traces.records(|r| r.instant && r.name == name)
     }
 
-    /// Snapshot of the whole event ring, in timestamp order.
-    pub fn events_snapshot(&self) -> Vec<Event> {
-        self.events.ring.lock().iter().cloned().collect()
-    }
-
-    /// Number of buffered events.
-    pub fn events_len(&self) -> usize {
-        self.events.ring.lock().len()
-    }
-
-    /// Number of events dropped because the ring was full.
+    /// Number of instant events discarded because the buffer was full.
     pub fn events_dropped(&self) -> u64 {
-        self.events.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Capacity of the event ring.
-    pub fn event_capacity(&self) -> usize {
-        self.events.capacity
+        self.traces.dropped().1
     }
 
     // -- export --------------------------------------------------------------
 
-    /// Render the full registry (counters, gauges, histograms, events) into
-    /// a JSON value. Keys are sorted, so output is deterministic given the
-    /// same metric contents.
+    /// Render the metrics (counters, gauges, histograms) plus the instant
+    /// drop count into a JSON value. Keys are sorted, so output is
+    /// deterministic given the same metric contents. Spans and instants
+    /// themselves are not exported; read them with [`Self::spans_snapshot`]
+    /// and [`Self::events_named`].
     ///
     /// Shape:
     /// ```json
     /// {
     ///   "counters":   { "<process>": { "<component>": { "<name>": N } } },
-    ///   "gauges":     { ... same nesting, signed ... },
-    ///   "histograms": { ... same nesting, {count,sum_ns,max_ns,buckets} ... },
-    ///   "events":     { "dropped": N, "recorded": [ {ts,process,...} ] }
+    ///   "gauges":     { ... same nesting, signed, plus "<name>#hw" ... },
+    ///   "histograms": { ... same nesting,
+    ///                   {count,sum_ns,max_ns,p50_ns,p95_ns,p99_ns,buckets} ... },
+    ///   "events":     { "dropped": N }
     /// }
     /// ```
     pub fn export(&self) -> Value {
@@ -670,38 +573,20 @@ impl Registry {
         root.insert("histograms".into(), Value::Object(hists));
 
         let mut events = Map::new();
-        events.insert("dropped".into(), Value::U64(self.events_dropped()));
-        if self.events_dropped() > 0 {
-            // Ring overflow silently truncates whatever downstream consumer
-            // (chaos invariants, trace assembly) reads the ring; make the
-            // loss impossible to miss in exported artifacts.
+        let dropped = self.events_dropped();
+        events.insert("dropped".into(), Value::U64(dropped));
+        if dropped > 0 {
+            // A full buffer silently truncates whatever downstream consumer
+            // (chaos invariants, tests) reads the instants; make the loss
+            // impossible to miss in exported artifacts.
             events.insert(
                 "warning".into(),
                 Value::Str(format!(
-                    "event ring overflowed: {} event(s) dropped; raise the \
-                     event capacity or reduce instrumentation",
-                    self.events_dropped()
+                    "obs record buffer full: {dropped} event(s) dropped; \
+                     reduce instrumentation or the run length"
                 )),
             );
         }
-        let recorded: Vec<Value> = self
-            .events_snapshot()
-            .iter()
-            .map(|e| {
-                let mut m = Map::new();
-                m.insert("ts".into(), Value::U64(e.ts));
-                m.insert("process".into(), Value::Str(e.process.clone()));
-                m.insert("component".into(), Value::Str(e.component.clone()));
-                m.insert("name".into(), Value::Str(e.name.clone()));
-                let mut attrs = Map::new();
-                for (k, v) in &e.attrs {
-                    attrs.insert(k.clone(), v.to_json());
-                }
-                m.insert("attrs".into(), Value::Object(attrs));
-                Value::Object(m)
-            })
-            .collect();
-        events.insert("recorded".into(), Value::Array(recorded));
         root.insert("events".into(), Value::Object(events));
 
         Value::Object(root)
@@ -858,30 +743,36 @@ mod tests {
 
     #[test]
     fn export_warns_when_events_dropped() {
-        let r = Registry::with_event_capacity(2);
+        let r = Registry::with_capacity(2);
         for _ in 0..5 {
-            r.event("p", "c", "e", vec![]);
+            r.event("p", "e", vec![]);
         }
         let json = serde_json::to_string(&r.export()).unwrap();
-        assert!(json.contains("event ring overflowed"), "{json}");
+        assert!(json.contains("obs record buffer full"), "{json}");
         let clean = Registry::new();
-        clean.event("p", "c", "e", vec![]);
+        clean.event("p", "e", vec![]);
         let json = serde_json::to_string(&clean.export()).unwrap();
         assert!(!json.contains("warning"), "{json}");
     }
 
     #[test]
-    fn events_ring_drops_oldest() {
-        let r = Registry::with_event_capacity(3);
-        for i in 0..5u64 {
-            r.event("p", "c", "e", vec![("i".into(), i.into())]);
+    fn instants_share_the_buffer_and_drop_new() {
+        let r = Registry::with_capacity(3);
+        r.span("p", "s", "").end();
+        for i in 0..4u64 {
+            r.event("p", "e", vec![("i".into(), i.into())]);
         }
-        assert_eq!(r.events_len(), 3);
+        r.span("p", "late", "").end();
+        // One span plus the first two instants fit; the rest are new
+        // records refused by the full buffer, each counted by kind.
+        assert_eq!(r.spans_snapshot().len(), 1);
+        assert_eq!(r.spans_dropped(), 1);
         assert_eq!(r.events_dropped(), 2);
-        let evs = r.events_snapshot();
-        // Oldest two were dropped; timestamps stay strictly increasing.
-        assert_eq!(evs[0].attr("i").unwrap().as_u64(), Some(2));
-        assert!(evs.windows(2).all(|w| w[0].ts < w[1].ts));
+        let evs = r.events_named("e");
+        assert_eq!(evs.len(), 2);
+        assert_eq!(evs[0].attr("i").unwrap().as_u64(), Some(0));
+        assert!(evs.iter().all(|e| e.instant && e.start_clock == e.end_clock && e.work == 0));
+        assert!(evs.windows(2).all(|w| w[0].start_clock < w[1].start_clock));
     }
 
     #[test]
@@ -890,12 +781,12 @@ mod tests {
         r.counter("ep0", "pml", "eager_sent").add(4);
         r.counter("fabric", "fabric", "msgs_sent").add(10);
         r.histogram("launcher", "prrte", "map_ns").record_ns(500);
-        r.event("srv", "pmix", "group.fanin", vec![("op".into(), "g1".into())]);
+        r.event("srv", "group.fanin", vec![("op".into(), "g1".into())]);
         let a = serde_json::to_string(&r.export()).unwrap();
         let b = serde_json::to_string(&r.export()).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("\"eager_sent\":4"));
         assert!(a.contains("\"msgs_sent\":10"));
-        assert!(a.contains("group.fanin"));
+        assert!(a.contains("\"events\":{\"dropped\":0}"), "{a}");
     }
 }

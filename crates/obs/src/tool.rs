@@ -20,9 +20,9 @@
 //! * writable cvars carry a writer closure that applies the value to the
 //!   subsystem's own state, clamps included — a registry write is the only
 //!   public way to change a runtime knob;
-//! * every successful write emits a `cvar.changed` event (component
-//!   `"tool"`) carrying the old and new values. Reads emit nothing: the
-//!   introspection surface must stay invisible to the perf fingerprint.
+//! * every successful write emits a `cvar.changed` instant event carrying
+//!   the old and new values. Reads emit nothing: the introspection surface
+//!   must stay invisible to the perf fingerprint.
 //!
 //! Registration closures return `Option<CvarValue>`; a closure whose
 //! subject has been dropped (it captured a `Weak`) returns `None` and the
@@ -240,7 +240,6 @@ impl Registry {
         };
         self.event(
             scope,
-            "tool",
             "cvar.changed",
             vec![
                 ("cvar".into(), AttrValue::Str(name.to_string())),

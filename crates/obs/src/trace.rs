@@ -27,6 +27,12 @@
 //!
 //! Ended spans land in a bounded per-registry buffer (drop-new with a
 //! counter when full); open spans are simply absent from snapshots.
+//!
+//! The same buffer holds **instants** ([`crate::Registry::event`]): records
+//! with `start_clock == end_clock`, no work and no per-process `seq`, parented
+//! under the emitting thread's current span. Instants share the Lamport clock
+//! and the drop-new rule with spans but are counted apart, and
+//! [`crate::Registry::spans_snapshot`] never returns them.
 
 use crate::AttrValue;
 use parking_lot::Mutex;
@@ -61,12 +67,13 @@ pub struct SpanContext {
 /// the thing attached to an envelope is named after the trace it carries.
 pub type TraceContext = SpanContext;
 
-/// One completed span, as stored in the registry's span buffer.
+/// One completed span or instant, as stored in the registry's buffer.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Runtime span id (registry-local; not run-stable).
     pub id: SpanId,
-    /// Runtime trace id (registry-local; not run-stable).
+    /// Runtime trace id (registry-local; not run-stable). An instant
+    /// emitted outside any span carries `TraceId(0)`.
     pub trace: TraceId,
     /// Parent span, when the span was created under one.
     pub parent: Option<SpanId>,
@@ -79,7 +86,8 @@ pub struct SpanRecord {
     /// Caller-supplied run-stable discriminator (op id, group name, peer
     /// rank, sequence number) distinguishing same-named spans.
     pub key: String,
-    /// Per-process start order (0, 1, 2, … within `process`).
+    /// Per-process start order (0, 1, 2, … within `process`); 0 for an
+    /// instant, which takes no sequence number.
     pub seq: u64,
     /// Lamport clock at span start.
     pub start_clock: u64,
@@ -91,24 +99,34 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, AttrValue)>,
     /// Fault annotations ([`Span::fault`] or [`fault_current`]).
     pub faults: Vec<String>,
+    /// Whether this is an instant rather than a span.
+    pub instant: bool,
 }
 
-/// Default span-buffer capacity.
+impl SpanRecord {
+    /// Look up an attribute by key.
+    pub fn attr(&self, k: &str) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(a, _)| a == k).map(|(_, v)| v)
+    }
+}
+
+/// Default capacity of the record buffer (spans and instants together).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 struct TraceBuf {
-    spans: Vec<SpanRecord>,
+    records: Vec<SpanRecord>,
     /// Next per-process start sequence number.
     seqs: HashMap<String, u64>,
     /// Fault annotations targeting spans that have not ended yet
     /// (runtime span id → notes), drained into the record at end.
     open_faults: HashMap<u64, Vec<String>>,
-    dropped: u64,
+    spans_dropped: u64,
+    instants_dropped: u64,
     capacity: usize,
 }
 
 /// Shared tracing state of one registry: the logical clock, the id
-/// allocators and the bounded buffer of ended spans.
+/// allocators and the bounded buffer of ended spans and instants.
 pub struct TraceShared {
     clock: AtomicU64,
     next_span: AtomicU64,
@@ -123,10 +141,11 @@ impl TraceShared {
             next_span: AtomicU64::new(1),
             next_trace: AtomicU64::new(1),
             buf: Mutex::new(TraceBuf {
-                spans: Vec::new(),
+                records: Vec::new(),
                 seqs: HashMap::new(),
                 open_faults: HashMap::new(),
-                dropped: 0,
+                spans_dropped: 0,
+                instants_dropped: 0,
                 capacity: capacity.max(1),
             }),
         }
@@ -143,16 +162,50 @@ impl TraceShared {
         self.tick()
     }
 
-    pub(crate) fn snapshot(&self) -> Vec<SpanRecord> {
-        self.buf.lock().spans.clone()
+    /// Clones of the buffered records `keep` selects, in buffer order.
+    pub(crate) fn records(&self, keep: impl Fn(&SpanRecord) -> bool) -> Vec<SpanRecord> {
+        self.buf.lock().records.iter().filter(|r| keep(r)).cloned().collect()
     }
 
-    pub(crate) fn dropped(&self) -> u64 {
-        self.buf.lock().dropped
+    /// `(spans, instants)` discarded because the buffer was full.
+    pub(crate) fn dropped(&self) -> (u64, u64) {
+        let buf = self.buf.lock();
+        (buf.spans_dropped, buf.instants_dropped)
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.buf.lock().capacity
+    pub(crate) fn instant(
+        &self,
+        process: &str,
+        name: &str,
+        attrs: Vec<(String, AttrValue)>,
+        parent: Option<SpanContext>,
+    ) {
+        let mut rec = SpanRecord {
+            id: SpanId(self.next_span.fetch_add(1, Ordering::Relaxed)),
+            trace: parent.map_or(TraceId(0), |p| p.trace),
+            parent: parent.map(|p| p.span),
+            links: Vec::new(),
+            process: process.to_string(),
+            name: name.to_string(),
+            key: String::new(),
+            seq: 0,
+            start_clock: 0,
+            end_clock: 0,
+            work: 0,
+            attrs,
+            faults: Vec::new(),
+            instant: true,
+        };
+        let mut buf = self.buf.lock();
+        if buf.records.len() >= buf.capacity {
+            buf.instants_dropped += 1;
+            return;
+        }
+        // Minted under the buffer lock, so buffer order is clock order:
+        // minting outside would let two racing emitters insert out of order.
+        rec.start_clock = self.tick();
+        rec.end_clock = rec.start_clock;
+        buf.records.push(rec);
     }
 
     pub(crate) fn start_span(
@@ -191,6 +244,7 @@ impl TraceShared {
                     work: 0,
                     attrs: Vec::new(),
                     faults: Vec::new(),
+                    instant: false,
                 },
             }),
         }
@@ -295,10 +349,10 @@ impl Span {
         if let Some(notes) = buf.open_faults.remove(&i.rec.id.0) {
             i.rec.faults.extend(notes);
         }
-        if buf.spans.len() >= buf.capacity {
-            buf.dropped += 1;
+        if buf.records.len() >= buf.capacity {
+            buf.spans_dropped += 1;
         } else {
-            buf.spans.push(i.rec);
+            buf.records.push(i.rec);
         }
     }
 }
@@ -466,7 +520,7 @@ mod tests {
 
     #[test]
     fn buffer_is_bounded_and_counts_drops() {
-        let r = Registry::with_capacities(16, 2);
+        let r = Registry::with_capacity(2);
         for i in 0..5 {
             r.span("p", "s", &i.to_string()).end();
         }

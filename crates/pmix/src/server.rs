@@ -385,7 +385,7 @@ impl ServerMetrics {
             ("epoch".into(), op.epoch.into()),
         ];
         attrs.extend(extra);
-        self.obs.event(&self.process, "pmix", stage, attrs);
+        self.obs.event(&self.process, stage, attrs);
     }
 }
 
@@ -1468,7 +1468,6 @@ impl PmixServer {
         self.metrics.pgcid_recycled.inc();
         self.metrics.obs.event(
             &self.metrics.process,
-            "pmix",
             "pgcid.recycled",
             vec![("pgcid".into(), pgcid.into())],
         );
@@ -2081,7 +2080,6 @@ impl PmixServer {
         for (p, outcome) in &outcomes {
             self.metrics.obs.event(
                 &self.metrics.process,
-                "pmix",
                 "invite.resolved",
                 vec![
                     ("group".into(), name.into()),

@@ -122,7 +122,6 @@ impl PmixUniverse {
                 span.end();
                 obs.event(
                     "registry",
-                    "pmix",
                     "pset.update",
                     vec![
                         ("pset".into(), change.name.as_str().into()),

@@ -3,7 +3,6 @@
 //! counts scale with the number of participating *nodes*, never with the
 //! number of processes per node.
 
-use obs::Event;
 use pmix::{GroupDirectives, PmixUniverse, ProcId};
 use simnet::SimTestbed;
 use std::sync::Arc;
@@ -49,7 +48,7 @@ fn stage_counts(uni: &Arc<PmixUniverse>, op: &str) -> (usize, usize, usize) {
     let count = |stage: &str| {
         obs.events_named(stage)
             .iter()
-            .filter(|e: &&Event| {
+            .filter(|e| {
                 e.attr("op").and_then(|v| v.as_str()) == Some(op)
                     && e.attr("kind").and_then(|v| v.as_str()) == Some("group_construct")
             })
@@ -181,7 +180,7 @@ fn stage_counters_sum_correctly_across_shards() {
             let events = obs
                 .events_named(stage)
                 .iter()
-                .filter(|e: &&Event| e.process == process)
+                .filter(|e| e.process == process)
                 .count() as u64;
             let counter = match stage {
                 "group.fanin" => "stage_fanin",

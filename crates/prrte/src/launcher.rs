@@ -102,7 +102,6 @@ impl Launcher {
         map_ns.record(t_map.elapsed());
         obs.event(
             "launcher",
-            "prrte",
             "launch.mapped",
             vec![
                 ("nspace".into(), nspace.into()),
@@ -131,7 +130,6 @@ impl Launcher {
         spawn_ns.record(t_spawn.elapsed());
         obs.event(
             "launcher",
-            "prrte",
             "launch.spawned",
             vec![("nspace".into(), nspace.into())],
         );
@@ -270,7 +268,6 @@ impl<T: Send + 'static> JobCtl<T> {
         span.end();
         obs.event(
             "launcher",
-            "prrte",
             "job.grow",
             vec![
                 ("nspace".into(), inner.nspace.as_str().into()),
@@ -355,7 +352,6 @@ impl<T: Send + 'static> JobCtl<T> {
         span.end();
         obs.event(
             "launcher",
-            "prrte",
             "job.shrink",
             vec![
                 ("nspace".into(), inner.nspace.as_str().into()),

@@ -221,14 +221,8 @@ fn run_kill(seed: u64) -> RunReport {
                 // The victim: its endpoint is dead. Wait until the failure
                 // is globally visible, then bow out (no finalize — the
                 // process is gone as far as the runtime is concerned).
-                for _ in 0..500 {
-                    let sg = session.surviving_group("mpi://world").unwrap();
-                    if sg.iter().all(|m| m.proc.rank() != 3) {
-                        return 0;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                panic!("victim never observed its own failure");
+                await_death(&session, 3);
+                return 0;
             }
             let victim = notifier.next_timeout(Duration::from_secs(10)).expect("failure event");
             assert_eq!(victim.rank(), 3);
